@@ -19,7 +19,7 @@ from .quaternion import (DEFAULT_TOL, ONE, ZERO, PolarForm, Quat,
                          mul, norm, polar, scalar_part, vector_part)
 from .biquaternion import (BiQuat, PolarFormC, bmul, conjugate, from_quat,
                            inner_h, inner_q, inverse_h, is_central, is_real,
-                           norm_h, normalized, polar_c, real_part)
+                           json_form, norm_h, normalized, polar_c, real_part)
 from .rotations import (Triad, complex_rotation, conjugate_rotation,
                         lorentz_map, make_triad, rotate_biquat,
                         rotate_onesided, rotate_vec3)
@@ -41,8 +41,8 @@ __all__ = [
     "is_perpendicular", "magnitude", "mul", "norm", "polar", "scalar_part",
     "vector_part",
     "BiQuat", "PolarFormC", "bmul", "conjugate", "from_quat", "inner_h",
-    "inner_q", "inverse_h", "is_central", "is_real", "norm_h", "normalized",
-    "polar_c", "real_part",
+    "inner_q", "inverse_h", "is_central", "is_real", "json_form", "norm_h",
+    "normalized", "polar_c", "real_part",
     "Triad", "complex_rotation", "conjugate_rotation", "lorentz_map",
     "make_triad", "rotate_biquat", "rotate_onesided", "rotate_vec3",
     "EntangleOutcome", "RestrictionError", "RestrictionReport", "StateAmp",

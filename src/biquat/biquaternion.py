@@ -27,6 +27,7 @@ __all__ = [
     "CONJUGATION_KINDS",
     "from_quat",
     "real_part",
+    "json_form",
     "bmul",
     "conjugate",
     "inner_h",
@@ -100,6 +101,12 @@ def from_quat(q: Quat) -> BiQuat:
 
 def real_part(q: BiQuat) -> Quat:
     return Quat(q.c1.real, q.c2.real, q.c3.real, q.c4.real)
+
+
+def json_form(q: BiQuat) -> dict:
+    """The {"re": [...], "im": [...]} form of q, with float entries."""
+    return {"re": [complex(c).real for c in q],
+            "im": [complex(c).imag for c in q]}
 
 
 def bmul(p: BiQuat, q: BiQuat) -> BiQuat:

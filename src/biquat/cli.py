@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 parse or usage error, 2 restriction rejection,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -29,7 +30,7 @@ import re
 import sys
 
 from . import verify as _verify
-from .biquaternion import BiQuat, from_quat, is_real
+from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
                            check_restrictions, concurrence, embed_state,
                            entangle, entangle_map)
@@ -60,22 +61,27 @@ _RE_IMAG = re.compile(rf"({_NUM})i\Z")
 _RE_BOTH = re.compile(rf"({_NUM})([+-]{_UNSIGNED})i\Z")
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name}")
+
+
 def _parse_complex(token: str, position: int) -> complex:
-    m = _RE_REAL.match(token)
-    if m:
-        return complex(float(m.group(1)), 0.0)
-    m = _RE_IMAG.match(token)
-    if m:
-        return complex(0.0, float(m.group(1)))
-    m = _RE_BOTH.match(token)
-    if m:
-        return complex(float(m.group(1)), float(m.group(2)))
-    raise ParseError(f"malformed complex literal {token!r}", position)
+    if m := _RE_REAL.match(token):
+        z = complex(float(m.group(1)), 0.0)
+    elif m := _RE_IMAG.match(token):
+        z = complex(0.0, float(m.group(1)))
+    elif m := _RE_BOTH.match(token):
+        z = complex(float(m.group(1)), float(m.group(2)))
+    else:
+        raise ParseError(f"malformed complex literal {token!r}", position)
+    if not cmath.isfinite(z):  # 1e999 overflows to inf
+        raise ParseError("non-finite number", position)
+    return z
 
 
 def _parse_json_biquat(text: str) -> BiQuat:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
@@ -85,10 +91,14 @@ def _parse_json_biquat(text: str) -> BiQuat:
             or len(re_) != 4 or len(im) != 4):
         raise ParseError('"re" and "im" must be arrays of 4 numbers')
     try:
-        return BiQuat(*(complex(float(r), float(i))
-                        for r, i in zip(re_, im)))
+        q = BiQuat(*(complex(float(r), float(i)) for r, i in zip(re_, im)))
+    except OverflowError:
+        raise ParseError("non-finite number") from None
     except (TypeError, ValueError):
         raise ParseError('"re" and "im" entries must be numbers') from None
+    if not all(map(cmath.isfinite, q)):
+        raise ParseError("non-finite number")
+    return q
 
 
 def parse_biquat(text: str) -> BiQuat:
@@ -113,10 +123,14 @@ def parse_biquat(text: str) -> BiQuat:
 
 def parse_quat(text: str) -> Quat:
     """Parse a real quaternion (a biquaternion with no imaginary parts)."""
-    q = parse_biquat(text)
+    return _require_real(parse_biquat(text),
+                         "expected a real quaternion, found imaginary parts")
+
+
+def _require_real(q: BiQuat, message: str) -> Quat:
     if not is_real(q, 0.0):
-        raise ParseError("expected a real quaternion, found imaginary parts")
-    return Quat(q.c1.real, q.c2.real, q.c3.real, q.c4.real)
+        raise ParseError(message)
+    return real_part(q)
 
 
 def _fmt_float(x: float) -> str:
@@ -147,8 +161,8 @@ def format_biquat(q: BiQuat, style: str = "plain") -> str:
     if style == "plain":
         return ", ".join(format_complex(c) for c in q)
     if style == "json":
-        return json.dumps({"re": [_json_num(complex(c).real) for c in q],
-                           "im": [_json_num(complex(c).imag) for c in q]})
+        return json.dumps({key: [_json_num(x) for x in xs]
+                           for key, xs in json_form(q).items()})
     if style == "unicode":
         units = ("", "î", "ĵ", "k̂")
         parts = []
@@ -157,11 +171,6 @@ def format_biquat(q: BiQuat, style: str = "plain") -> str:
             parts.append(f"({lit}){u}" if u else lit)
         return " + ".join(parts)
     raise ValueError(f"unknown style: {style!r}")
-
-
-def _biquat_json(q: BiQuat) -> dict:
-    return {"re": [complex(c).real for c in q],
-            "im": [complex(c).imag for c in q]}
 
 
 # --- command handlers -------------------------------------------------
@@ -218,24 +227,15 @@ def _cmd_check(ns) -> int:
     return 0 if report.passed else 2
 
 
-def _require_real(q: BiQuat, flag: str) -> Quat:
-    if not is_real(q, 0.0):
-        raise ParseError(f"{flag} must be a real quaternion for this map")
-    return Quat(q.c1.real, q.c2.real, q.c3.real, q.c4.real)
-
-
 def _cmd_rotate(ns) -> int:
     qb = parse_biquat(ns.q)
     xb = parse_biquat(ns.x)
     kind = ns.map
-    if kind in ("left", "right"):
-        r = rotate_onesided(_require_real(qb, "--q"), _require_real(xb, "--x"),
-                            kind)
-        result = from_quat(r)
-    elif kind == "conj":
-        r = conjugate_rotation(_require_real(qb, "--q"),
-                               _require_real(xb, "--x"))
-        result = from_quat(r)
+    if kind in ("left", "right", "conj"):
+        q = _require_real(qb, "--q must be a real quaternion for this map")
+        x = _require_real(xb, "--x must be a real quaternion for this map")
+        result = from_quat(conjugate_rotation(q, x) if kind == "conj"
+                           else rotate_onesided(q, x, kind))
     elif kind == "psi":
         result = rotate_biquat(qb, xb)
     elif kind == "lorentz":
@@ -243,7 +243,7 @@ def _cmd_rotate(ns) -> int:
     else:  # mu
         result = complex_rotation(qb, xb)
     if ns.json:
-        print(json.dumps({"map": kind, "result": _biquat_json(result)},
+        print(json.dumps({"map": kind, "result": json_form(result)},
                          indent=2))
     else:
         print(format_biquat(result))

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .biquaternion import BiQuat, bmul, from_quat, norm_h
-from .quaternion import DEFAULT_TOL, Quat, norm
+from .biquaternion import BiQuat, bmul, from_quat, json_form, norm_h
+from .quaternion import DEFAULT_TOL, Quat, norm, require_unit_norm
 
 __all__ = [
     "Variant",
@@ -103,10 +103,7 @@ class EntangleOutcome:
 
     def to_dict(self) -> dict:
         return {
-            "result": {
-                "re": [c.real for c in self.result],
-                "im": [c.imag for c in self.result],
-            },
+            "result": json_form(self.result),
             "concurrence_before": self.concurrence_before,
             "concurrence_after": self.concurrence_after,
             "report": self.report.to_dict(),
@@ -127,18 +124,30 @@ ADMISSIBLE_P_SUPPORTS = frozenset({
 })
 
 
+def place_pair(positions: tuple[int, int], a, b, zero) -> list:
+    """Four coefficients: a and b at the 1-based positions, zero elsewhere."""
+    c = [zero] * 4
+    c[positions[0] - 1] = a
+    c[positions[1] - 1] = b
+    return c
+
+
 def embed_state(state: StateAmp, tol: float = DEFAULT_TOL) -> BiQuat:
     """Place (alpha, beta) on the variant's basis pair."""
     a, b = complex(state.alpha), complex(state.beta)
     n = (a.real * a.real + a.imag * a.imag
          + b.real * b.real + b.imag * b.imag)
-    if abs(n - 1.0) > tol:
-        raise ValueError("state amplitudes are not normalized")
-    c = [0j, 0j, 0j, 0j]
-    i, j = state.variant.positions
-    c[i - 1] = a
-    c[j - 1] = b
-    return BiQuat(*c)
+    require_unit_norm(n, tol, "state amplitudes are not normalized")
+    return BiQuat(*place_pair(state.variant.positions, a, b, 0j))
+
+
+def _concurrence(q: BiQuat) -> float:
+    return 2.0 * abs(q.c1 * q.c4 - q.c2 * q.c3)
+
+
+def _sandwich(p: Quat, q: BiQuat) -> BiQuat:
+    pb = from_quat(p)
+    return bmul(bmul(pb, q), pb)
 
 
 def concurrence(q: BiQuat, tol: float = DEFAULT_TOL) -> float:
@@ -147,9 +156,8 @@ def concurrence(q: BiQuat, tol: float = DEFAULT_TOL) -> float:
     Unnormalized input raises; run it through
     ``biquaternion.normalized`` first when that is intended.
     """
-    if abs(norm_h(q) - 1.0) > tol:
-        raise ValueError("state must be normalized")
-    return 2.0 * abs(q.c1 * q.c4 - q.c2 * q.c3)
+    require_unit_norm(norm_h(q), tol, "state must be normalized")
+    return _concurrence(q)
 
 
 def support(q: BiQuat, tol: float = DEFAULT_TOL) -> frozenset[int]:
@@ -160,12 +168,10 @@ def support(q: BiQuat, tol: float = DEFAULT_TOL) -> frozenset[int]:
 def check_restrictions(p: Quat, q: BiQuat,
                        tol: float = DEFAULT_TOL) -> RestrictionReport:
     """Evaluate R1-R3 for the rotor p against the state q."""
-    if abs(norm(p) - 1.0) > tol:
-        raise ValueError("rotor must be a unit quaternion")
-    if abs(norm_h(q) - 1.0) > tol:
-        raise ValueError("state must be normalized")
+    require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
+    require_unit_norm(norm_h(q), tol, "state must be normalized")
     pb = from_quat(p)
-    c_p = concurrence(pb, tol)
+    c_p = _concurrence(pb)
     ps = support(pb, tol)
     qs = support(q, tol)
 
@@ -194,22 +200,21 @@ def check_restrictions(p: Quat, q: BiQuat,
 def entangle_map(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
     """The raw sandwich q -> p q p for a real unit quaternion p.
 
-    Norm-preserving for any such p; the restriction checks live in
-    ``entangle``.
+    Norm-preserving for any such p.  Only p's norm is checked: q is taken
+    as given and R1-R3 are left to ``entangle``.
     """
-    if abs(norm(p) - 1.0) > tol:
-        raise ValueError("rotor must be a unit quaternion")
-    pb = from_quat(p)
-    return bmul(bmul(pb, q), pb)
+    require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
+    return _sandwich(p, q)
 
 
 def entangle(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> EntangleOutcome:
     """Checked entangling map.
 
-    Raises RestrictionError (report attached) when p fails R1-R3.  A
-    state with a vanishing amplitude is not rejected - the map is still
-    well defined - but the outcome's report notes the degeneracy since
-    no entanglement can result.
+    p and q are checked once, by ``check_restrictions``; the map and both
+    concurrences then run unchecked.  Raises RestrictionError (report
+    attached) when p fails R1-R3.  A state with a vanishing amplitude is
+    not rejected - the map is still well defined - but the outcome's
+    report notes the degeneracy since no entanglement can result.
     """
     report = check_restrictions(p, q, tol)
     if not report.passed:
@@ -218,9 +223,9 @@ def entangle(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> EntangleOutcome:
         report = replace(
             report, detail="degenerate amplitudes: a state coefficient is "
                            "zero, concurrence stays 0")
-    before = concurrence(q, tol)
-    result = entangle_map(p, q, tol)
-    return EntangleOutcome(result, before, concurrence(result, tol), report)
+    result = _sandwich(p, q)
+    return EntangleOutcome(result, _concurrence(q), _concurrence(result),
+                           report)
 
 
 def predicted_concurrence(p: Quat, q: BiQuat,

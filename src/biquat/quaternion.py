@@ -37,6 +37,12 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 
 
+def require_unit_norm(n: float, tol: float, message: str) -> None:
+    """Raise ValueError(message) unless n is within tol of 1; NaN fails."""
+    if not abs(n - 1.0) <= tol:
+        raise ValueError(message)
+
+
 class Quat(NamedTuple):
     """Quaternion c1 + c2 i^ + c3 j^ + c4 k^."""
 
@@ -186,8 +192,8 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
 def from_polar(form: PolarForm, tol: float = DEFAULT_TOL) -> Quat:
     """Rebuild the quaternion described by a PolarForm."""
     x, y, z = form.axis
-    if abs(math.sqrt(x * x + y * y + z * z) - 1.0) > tol:
-        raise ValueError("axis must be a unit vector")
+    require_unit_norm(math.sqrt(x * x + y * y + z * z), tol,
+                      "axis must be a unit vector")
     c = form.magnitude * math.cos(form.angle)
     s = form.magnitude * math.sin(form.angle)
     return Quat(c, s * x, s * y, s * z)

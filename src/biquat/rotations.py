@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import quaternion as rq
 from .biquaternion import BiQuat, bmul, conjugate, is_real, norm_h
-from .quaternion import DEFAULT_TOL, Quat
+from .quaternion import DEFAULT_TOL, Quat, require_unit_norm
 
 __all__ = [
     "Triad",
@@ -38,8 +38,8 @@ class Triad(NamedTuple):
 
 
 def _require_unit(q: Quat, tol: float) -> None:
-    if abs(rq.norm(q) - 1.0) > tol:
-        raise ValueError("rotation quaternion must have unit norm")
+    require_unit_norm(rq.norm(q), tol,
+                      "rotation quaternion must have unit norm")
 
 
 def make_triad(qhat: Quat, tol: float = DEFAULT_TOL) -> Triad:
@@ -102,15 +102,15 @@ def rotate_biquat(q: BiQuat, w: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
     """
     if not is_real(q, tol):
         raise ValueError("rotation biquaternion must have real coefficients")
-    if abs(norm_h(q) - 1.0) > tol:
-        raise ValueError("rotation biquaternion must have unit norm")
+    require_unit_norm(norm_h(q), tol,
+                      "rotation biquaternion must have unit norm")
     return bmul(bmul(q, w), conjugate(q, "quaternion"))
 
 
 def _require_quaternionic_unit(q: BiQuat, tol: float) -> None:
     r = bmul(q, conjugate(q, "quaternion"))
-    if (abs(r.c1 - 1.0) > tol or abs(r.c2) > tol
-            or abs(r.c3) > tol or abs(r.c4) > tol):
+    if not (abs(r.c1 - 1.0) <= tol and abs(r.c2) <= tol
+            and abs(r.c3) <= tol and abs(r.c4) <= tol):
         raise ValueError(
             "map requires q * conj_quaternion(q) = 1 (quaternionic unit)")
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .biquaternion import BiQuat
-from .entanglement import StateAmp, Variant, concurrence, embed_state, entangle_map
+from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
+                           concurrence, embed_state, entangle_map, place_pair)
 from .exact import ExactBiQuat, ExactScalar, oracle_mul, random_rational
 from .quaternion import Quat
 
@@ -72,50 +73,49 @@ class EntangleCase:
     variant: Variant
     p_support: tuple[int, int]
     closed_form: str
-    predicted_c: str
     stated_form: str | None = None
     note: str = ""
 
+    @property
+    def predicted_c(self) -> str:
+        i, j = self.p_support
+        return f"4*|alpha*beta*a{i}*a{j}|"
 
-def _case(case_id, variant, sup, form, pred, stated=None, note=""):
-    return EntangleCase(case_id, variant, sup, form, pred, stated, note)
 
+# Case ids follow Variant order, then the sorted admissible rotor supports
+# sharing exactly one direction with the state's.
+_PAIRINGS = tuple(
+    (v, sup) for v in Variant
+    for sup in sorted(tuple(sorted(s)) for s in ADMISSIBLE_P_SUPPORTS)
+    if len(set(v.positions) & set(sup)) == 1)
 
-ENTANGLE_CASES: tuple[EntangleCase, ...] = (
-    _case(1, Variant.V12, (1, 3),
-          "(alpha*(a1^2-a3^2), beta*(a1^2+a3^2), 2*alpha*a1*a3, 0)",
-          "4*|alpha*beta*a1*a3|"),
-    _case(2, Variant.V12, (2, 4),
-          "(-alpha*(a2^2+a4^2), -beta*(a2^2-a4^2), 0, -2*beta*a2*a4)",
-          "4*|alpha*beta*a2*a4|",
-          stated="(-alpha, -beta*(a2^2-a4^2), 0, -2*beta*a2*a2, 0)",
-          note="reference form lists five entries and repeats the a2 "
-               "factor; read as the four-entry form with -2*beta*a2*a4, "
-               "confirmed exactly by the oracle"),
-    _case(3, Variant.V34, (1, 3),
-          "(-2*alpha*a1*a3, 0, alpha*(a1^2-a3^2), beta*(a1^2+a3^2))",
-          "4*|alpha*beta*a1*a3|"),
-    _case(4, Variant.V34, (2, 4),
-          "(0, -2*beta*a2*a4, alpha*(a2^2+a4^2), beta*(a2^2-a4^2))",
-          "4*|alpha*beta*a2*a4|"),
-    _case(5, Variant.V13, (1, 2),
-          "(alpha*(a1^2-a2^2), 2*alpha*a1*a2, beta*(a1^2+a2^2), 0)",
-          "4*|alpha*beta*a1*a2|"),
-    _case(6, Variant.V13, (3, 4),
-          "(-alpha*(a3^2+a4^2), 0, beta*(a4^2-a3^2), -2*beta*a3*a4)",
-          "4*|alpha*beta*a3*a4|",
-          stated="(-alpha, 0, -beta*a3^2+beta*a4^2, 2*beta*a3*a4)",
-          note="reference k-component sign (+2*beta*a3*a4) flips to "
-               "-2*beta*a3*a4 under exact recomputation - the same flip "
-               "flagged in golden example 2; the concurrence is "
-               "unaffected"),
-    _case(7, Variant.V24, (1, 2),
-          "(-2*alpha*a1*a2, alpha*(a1^2-a2^2), 0, beta*(a1^2+a2^2))",
-          "4*|alpha*beta*a1*a2|"),
-    _case(8, Variant.V24, (3, 4),
-          "(0, alpha*(a3^2+a4^2), -2*beta*a3*a4, beta*(a3^2-a4^2))",
-          "4*|alpha*beta*a3*a4|"),
+_CLOSED_FORMS = (
+    "(alpha*(a1^2-a3^2), beta*(a1^2+a3^2), 2*alpha*a1*a3, 0)",
+    "(-alpha*(a2^2+a4^2), -beta*(a2^2-a4^2), 0, -2*beta*a2*a4)",
+    "(-2*alpha*a1*a3, 0, alpha*(a1^2-a3^2), beta*(a1^2+a3^2))",
+    "(0, -2*beta*a2*a4, alpha*(a2^2+a4^2), beta*(a2^2-a4^2))",
+    "(alpha*(a1^2-a2^2), 2*alpha*a1*a2, beta*(a1^2+a2^2), 0)",
+    "(-alpha*(a3^2+a4^2), 0, beta*(a4^2-a3^2), -2*beta*a3*a4)",
+    "(-2*alpha*a1*a2, alpha*(a1^2-a2^2), 0, beta*(a1^2+a2^2))",
+    "(0, alpha*(a3^2+a4^2), -2*beta*a3*a4, beta*(a3^2-a4^2))",
 )
+
+# Reference forms that disagree with the exact recomputation, by case id.
+_MISPRINTS = {
+    2: ("(-alpha, -beta*(a2^2-a4^2), 0, -2*beta*a2*a2, 0)",
+        "reference form lists five entries and repeats the a2 factor; read "
+        "as the four-entry form with -2*beta*a2*a4, confirmed exactly by "
+        "the oracle"),
+    6: ("(-alpha, 0, -beta*a3^2+beta*a4^2, 2*beta*a3*a4)",
+        "reference k-component sign (+2*beta*a3*a4) flips to -2*beta*a3*a4 "
+        "under exact recomputation - the same flip flagged in golden "
+        "example 2; the concurrence is unaffected"),
+}
+
+ENTANGLE_CASES: tuple[EntangleCase, ...] = tuple(
+    EntangleCase(k, v, sup, form, *_MISPRINTS.get(k, ()))
+    for k, ((v, sup), form) in enumerate(
+        zip(_PAIRINGS, _CLOSED_FORMS, strict=True), 1))
 
 _ZERO = ExactScalar.of(0)
 
@@ -145,30 +145,6 @@ def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
         return ExactBiQuat.from_scalars(forms[case_id])
     except KeyError:
         raise ValueError(f"invalid case id: {case_id}") from None
-
-
-def _exact_state(variant: Variant, alpha: ExactScalar,
-                 beta: ExactScalar) -> ExactBiQuat:
-    c = [_ZERO] * 4
-    i, j = variant.positions
-    c[i - 1] = alpha
-    c[j - 1] = beta
-    return ExactBiQuat.from_scalars(c)
-
-
-def _exact_rotor(sup: tuple[int, int], ai: Fraction,
-                 aj: Fraction) -> ExactBiQuat:
-    c = [_ZERO] * 4
-    c[sup[0] - 1] = ExactScalar.of(ai)
-    c[sup[1] - 1] = ExactScalar.of(aj)
-    return ExactBiQuat.from_scalars(c)
-
-
-def _float_rotor(sup: tuple[int, int], ai: float, aj: float) -> Quat:
-    c = [0.0] * 4
-    c[sup[0] - 1] = ai
-    c[sup[1] - 1] = aj
-    return Quat(*c)
 
 
 def _identity_points() -> list:
@@ -291,8 +267,10 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
     for case in ENTANGLE_CASES:
         failures = []
         for k, (alpha, beta, ai, aj) in enumerate(points):
-            p = _exact_rotor(case.p_support, ai, aj)
-            q = _exact_state(case.variant, alpha, beta)
+            p = ExactBiQuat.from_scalars(place_pair(
+                case.p_support, ExactScalar.of(ai), ExactScalar.of(aj), _ZERO))
+            q = ExactBiQuat.from_scalars(
+                place_pair(case.variant.positions, alpha, beta, _ZERO))
             got = oracle_mul(oracle_mul(p, q), p)
             want = closed_form_product(case.case_id, alpha, beta, (ai, aj))
             if got != want:
@@ -313,7 +291,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             t = rng.uniform(0.0, 2.0 * math.pi)
             ai_f, aj_f = math.cos(t), math.sin(t)
             q_f = embed_state(StateAmp(alpha_f, beta_f, case.variant))
-            p_f = _float_rotor(case.p_support, ai_f, aj_f)
+            p_f = Quat(*place_pair(case.p_support, ai_f, aj_f, 0.0))
             c = concurrence(entangle_map(p_f, q_f))
             predicted = 4.0 * abs(alpha_f) * abs(beta_f) * abs(ai_f * aj_f)
             err = abs(c - predicted)
@@ -460,10 +438,12 @@ def verify_examples() -> ExamplesReport:
     fourth component only; the report flags the discrepancy (magnitudes
     and concurrence still agree) instead of rewriting either side.
     """
+    one = ExactScalar.of(1)
     results = []
     for ex in GOLDEN_EXAMPLES:
-        p = _exact_rotor(ex.p_support, Fraction(1), Fraction(1))
-        q = _exact_state(ex.variant, ex.alpha, ex.beta)
+        p = ExactBiQuat.from_scalars(place_pair(ex.p_support, one, one, _ZERO))
+        q = ExactBiQuat.from_scalars(
+            place_pair(ex.variant.positions, ex.alpha, ex.beta, _ZERO))
         computed = oracle_mul(oracle_mul(p, q), p)
 
         exact = computed == ex.stated_scaled

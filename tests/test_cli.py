@@ -79,6 +79,21 @@ def test_parse_json_errors():
         parse_biquat('{"re": [1,0,0,"x"], "im": [0,0,0,0]}')
 
 
+@pytest.mark.parametrize("argv", [
+    ["concurrence", '{"re":[NaN,0,0,0],"im":[0,0,0,0]}'],
+    ["polar", "1e999, 0, 0, 0"],
+    ["--json", "rotate", "--map", "mu", "--q", "1,0,0,0",
+     "--x", '{"re":[NaN,0,0,0],"im":[0,0,0,0]}'],
+    ["concurrence", '{"re":[1e999,0,0,0],"im":[0,0,0,0]}'],
+    ["concurrence", '{"re":[1' + "0" * 400 + ',0,0,0],"im":[0,0,0,0]}'],
+])
+def test_non_finite_input_is_a_parse_error(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert out == ""
+    assert "parse error: non-finite number" in err
+
+
 def test_parse_quat_rejects_imaginary():
     assert parse_quat("1,0,-2,0") == Quat(1, 0, -2, 0)
     with pytest.raises(ParseError, match="expected a real quaternion"):

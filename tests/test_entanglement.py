@@ -232,6 +232,18 @@ def test_outcome_serializes():
     assert d["report"]["passed"] is True
 
 
+def test_entangle_accepts_near_threshold_pair():
+    # p and q lie inside the norm band, so the gate passes; the result's
+    # norm lies outside it, which must not turn into a refusal.
+    a = math.sqrt(0.5 * (1 + 0.9e-9))
+    p = Quat(a, 0, a, 0)
+    q = BiQuat(a * 1j, -a * 1j, 0, 0)
+    assert check_restrictions(p, q).passed
+    want = predicted_concurrence(p, q)
+    assert want == pytest.approx(1.0000000018, abs=1e-10)
+    assert abs(entangle(p, q).concurrence_after - want) <= 1e-8
+
+
 # --- the concurrence law -----------------------------------------------------
 
 def test_predicted_concurrence_spot():

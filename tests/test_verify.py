@@ -8,8 +8,8 @@ import pytest
 from biquat.entanglement import Variant
 from biquat.exact import ExactBiQuat, ExactScalar
 from biquat.verify import (ENTANGLE_CASES, GOLDEN_EXAMPLES, IDENTITY_POINTS,
-                           closed_form_product, verify_examples,
-                           verify_theorem)
+                           _identity_points, closed_form_product,
+                           verify_examples, verify_theorem)
 
 
 def test_case_table_shape():
@@ -52,6 +52,21 @@ def test_closed_form_is_homogeneous():
     base = closed_form_product(4, alpha, beta, (2, 5))
     scaled = closed_form_product(4, alpha, beta, (6, 15))
     assert scaled.coords == tuple(9 * c for c in base.coords)
+
+
+def test_closed_form_text_matches_the_code_form():
+    # The report's closed_form strings and closed_form_product are two
+    # copies of each expansion; evaluate the text and compare exactly.
+    for case in ENTANGLE_CASES:
+        i, j = case.p_support
+        for alpha, beta, ai, aj in _identity_points():
+            names = {"alpha": alpha, "beta": beta, f"a{i}": ai, f"a{j}": aj}
+            comps = eval(case.closed_form.replace("^", "**"), {}, names)
+            got = ExactBiQuat.from_scalars(
+                [c if isinstance(c, ExactScalar) else ExactScalar.of(c)
+                 for c in comps])
+            assert got == closed_form_product(case.case_id, alpha, beta,
+                                              (ai, aj)), case.case_id
 
 
 def test_closed_form_invalid_case():
