@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS)
-        p.set_defaults(func=handler)
+        p.set_defaults(handler=handler.__name__)
         return p
 
     p = cmd("entangle", _cmd_entangle, "run the checked entangling map")
@@ -387,14 +387,23 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# The parser main() reuses for the life of the process, built on first
+# use rather than at import.  parse_args leaves a parser unchanged, so
+# sharing it cannot be seen.  It holds handler names, not functions, so
+# a later rebinding of a handler in this module is still called.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     try:
-        return ns.func(ns)
+        return globals()[ns.handler](ns)
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1

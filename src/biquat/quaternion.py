@@ -8,6 +8,7 @@ and every operation is a pure function.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -35,6 +36,9 @@ __all__ = [
 # Absolute tolerance for geometric predicates; every predicate takes an
 # override so callers working at other scales are not stuck with it.
 DEFAULT_TOL = 1e-9
+
+_MIN_NORMAL = sys.float_info.min
+_MAX_FLOAT = sys.float_info.max
 
 
 def require_unit_norm(n: float, tol: float, message: str) -> None:
@@ -176,13 +180,28 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
     inputs near the scalar axis.  A pure-scalar q has no axis; the
     result then uses (0, 0, 1) and sets the degenerate flag, with theta
     snapped to 0 or pi by the sign of the scalar part.
+
+    When N over- or underflows, q is first scaled by 2**-e, with 2**e
+    just above its largest component; that is exact, and the lengths
+    are scaled back.  ValueError is raised only for q = 0 and for a
+    magnitude above the float maximum.
     """
     n = norm(q)
-    if n == 0.0:
-        raise ValueError("zero quaternion has no polar form")
-    mag = math.sqrt(n)
+    e = 0
+    if not _MIN_NORMAL <= n <= _MAX_FLOAT:
+        if not any(q):
+            raise ValueError("zero quaternion has no polar form")
+        e = math.frexp(max(map(abs, q)))[1]
+        q = Quat(*(math.ldexp(c, -e) for c in q))
+        n = norm(q)
+    try:
+        mag = math.ldexp(math.sqrt(n), e)
+    except OverflowError:
+        mag = math.inf
+    if not mag <= _MAX_FLOAT:  # also NaN
+        raise ValueError("magnitude of the polar form is not a finite float")
     vlen = math.sqrt(q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4)
-    if vlen <= tol:
+    if math.ldexp(vlen, e) <= tol:
         return PolarForm(mag, (0.0, 0.0, 1.0),
                          0.0 if q.c1 > 0.0 else math.pi, True)
     return PolarForm(mag, (q.c2 / vlen, q.c3 / vlen, q.c4 / vlen),

@@ -8,12 +8,17 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from biquat import cli
 from biquat.biquaternion import BiQuat
 from biquat.cli import (ParseError, build_parser, format_biquat,
                         format_complex, main, parse_biquat, parse_quat)
@@ -281,6 +286,35 @@ def test_polar_command():
     assert d["magnitude"] == 3
 
 
+def _strict_json(text):
+    return json.loads(text, parse_constant=lambda name: pytest.fail(name))
+
+
+def test_polar_command_at_extreme_magnitudes():
+    code, out, _ = run_cli(["polar", "1e200, 1e200, 1e200, 1e200"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["magnitude: 2e+200",
+                                    "angle: 1.0471975511965979"]
+    code, out, _ = run_cli(["--json", "polar", "1e200, 1e200, 1e200, 1e200"])
+    assert code == 0
+    assert _strict_json(out)["magnitude"] == 2e200
+    code, out, _ = run_cli(["--json", "polar", "1e-170, 1e-170, 0, 0"])
+    assert code == 0
+    assert _strict_json(out)["magnitude"] == pytest.approx(
+        math.sqrt(2) * 1e-170, rel=1e-15)
+    code, out, _ = run_cli(["polar", "0, 0, 5e-324, 0"])
+    assert code == 0
+    assert "magnitude: 5e-324" in out
+
+
+def test_polar_command_refuses_a_magnitude_beyond_the_floats():
+    code, out, err = run_cli(["polar", "1.7976931348623157e308, 0, 0, "
+                                       "1.7976931348623157e308"])
+    assert code == 1
+    assert out == ""
+    assert "not a finite float" in err
+
+
 def test_verify_theorem_command():
     code, out, _ = run_cli(["verify-theorem", "--samples", "20",
                             "--seed", "7"])
@@ -390,3 +424,145 @@ def test_help_exits_zero():
 
 def test_build_parser_prog_name():
     assert build_parser().prog == "biquat"
+
+
+# --- the parser main() shares across calls -------------------------------
+
+def _run_on(parser, argv):
+    """run_cli with main() using ``parser``; the shared one is put back."""
+    shared = cli._parser
+    cli._parser = parser
+    try:
+        return run_cli(argv)
+    finally:
+        cli._parser = shared
+
+
+def test_shared_parser_behaves_like_a_fresh_one(tmp_path):
+    target = tmp_path / "grid.csv"
+    sequence = [
+        ["--json", "check", "--p", "0,1,0,0", "--q", "1,0,0,0"],
+        ["check", "--json", "--p", "0,1,0,0", "--q", "1,0,0,0"],
+        ["--json", "polar", "--json", "1,1,0,0"],
+        ["polar", "1,1,0,0"],
+        ["rotate", "--map", "sideways", "--q", "1,0,0,0", "--x", "1,0,0,0"],
+        ["bogus"],
+        ["entangle", "--p", "1,0,0,0"],
+        [],
+        ["--help"],
+        ["entangle", "--help"],
+        ["entangle", "--p", "0,1,0,0", "--q", "1,0,0,0"],
+        ["--json", "entangle", "--p", "0,1,0,0", "--q", "1,0,0,0"],
+        ["concurrence", "1,2,3"],
+        ["sweep", "--grid", "2", "--out", str(target)],
+        ["--json", "sweep", "--grid", "2", "--out", str(target)],
+        ["--json", "concurrence", "1,0,0,0"],
+        ["concurrence", "1,0,0,0"],
+    ]
+    run_cli(["polar", "1,0,0,0"])
+    shared = cli._parser
+    assert shared is not None
+    for argv in sequence:
+        got = _run_on(shared, argv)
+        got_file = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        want = _run_on(build_parser(), argv)
+        want_file = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        assert got == want, argv
+        assert got_file == want_file, argv
+    assert cli._parser is shared
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    real = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    argvs = [["polar", "1,1,0,0"], ["bogus"], ["--json", "concurrence",
+                                               "1,0,0,0"], ["--help"]]
+    first = [run_cli(argv) for argv in argvs]
+    for _ in range(10):
+        assert [run_cli(argv) for argv in argvs] == first
+    assert len(builds) == 1
+
+    a, b = real(), real()
+    assert a is not b
+    assert cli._parser is not a and cli._parser is not b
+    a.prog = "changed"
+    a.add_argument("--extra")
+    a.set_defaults(handler="_cmd_verify_examples")
+    assert [run_cli(argv) for argv in argvs] == first
+    assert len(builds) == 1
+
+
+def test_shared_parser_calls_the_handler_bound_now(monkeypatch):
+    run_cli(["polar", "1,0,0,0"])
+    assert cli._parser is not None
+    monkeypatch.setattr(cli, "_cmd_polar", lambda ns: 3)
+    assert run_cli(["polar", "1,0,0,0"]) == (3, "", "")
+
+
+_S = repr(INV_SQRT2)
+_QUATS = (
+    "1,0,0,0", "0,1,0,0", f"{_S}, 0, {_S}, 0", f"{_S}i, -{_S}i, 0, 0",
+    f"{_S}, 0, 0, {_S}i", "0.5+0.5i, -0.5i, 0, 1", "1i,0,0,0", "0,0,0,0",
+    "1e200, 1e200, 1e200, 1e200", "1e-170, 1e-170, 0, 0", "1e999,0,0,0",
+    '{"re":[1,0,0,0],"im":[0,0,0,0]}', '{"re":[NaN,0,0,0],"im":[0,0,0,0]}',
+    "1,2,3", "1,2x,3,4", "{bad", "",
+)
+_NUMBERS = ("-1", "0", "1", "2", "x", "1.5")
+_FUZZ_OPTIONS = {  # option (None: the positional) -> values to try
+    "entangle": (("--p", _QUATS), ("--q", _QUATS)),
+    "check": (("--p", _QUATS), ("--q", _QUATS)),
+    "rotate": (("--map", ("left", "right", "conj", "psi", "lorentz", "mu",
+                          "sideways")),
+               ("--q", _QUATS), ("--x", _QUATS)),
+    "concurrence": ((None, _QUATS + ("-",)),),
+    "polar": ((None, _QUATS),),
+    "verify-theorem": (("--seed", _NUMBERS),),
+    "verify-examples": (),
+    "sweep": (("--out", ("-", "grid.csv", "")),),
+    "bogus": (),
+}
+_FUZZ_NOISE = ("--json", "--help", "-h", "--", "--bogus", "--p", "--samples",
+               "--grid", "-", *_FUZZ_OPTIONS, *_QUATS, *_NUMBERS)
+
+
+@st.composite
+def _argv(draw):
+    """A command with each of its options given or not, plus noise."""
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [*draw(st.lists(st.just("--json"), max_size=1)), command]
+    for option, values in _FUZZ_OPTIONS[command]:
+        if draw(st.integers(0, 5)):
+            argv += [option] if option else []
+            argv.append(draw(st.sampled_from(values)))
+    for token in draw(st.lists(st.sampled_from(_FUZZ_NOISE), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    # A trailing --samples/--grid keeps verify-theorem and sweep small.
+    bound = draw(st.sampled_from(("-1", "0", "1", "2", "x")))
+    if "verify-theorem" in argv:
+        argv += ["--samples", bound]
+    if "sweep" in argv:
+        argv += ["--grid", bound]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_argv())
+def test_fuzzed_argv_exits_0_to_3_without_traceback(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)  # where a fuzzed --out writes
+        try:
+            code, _, err = run_cli(argv, stdin_text="1,0,0,0\n")
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv

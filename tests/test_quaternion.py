@@ -232,6 +232,61 @@ def test_polar_of_zero_raises():
         polar(ZERO)
 
 
+FLOAT_MAX = 1.7976931348623157e308
+
+
+def test_polar_when_the_squared_norm_overflows():
+    form = polar(Quat(1e200, 1e200, 1e200, 1e200))
+    assert form.magnitude == 2e200
+    assert form.angle == pytest.approx(math.atan2(math.sqrt(3), 1), abs=1e-15)
+    assert form.axis == pytest.approx((3 ** -0.5,) * 3, abs=1e-15)
+    assert not form.degenerate
+    assert polar(Quat(-FLOAT_MAX, 0, 0, 0)) == PolarForm(
+        FLOAT_MAX, (0, 0, 1), math.pi, True)
+    form = polar(Quat(0, 0, 1e300, -1e300))
+    assert form.magnitude == pytest.approx(math.sqrt(2) * 1e300, rel=1e-15)
+    assert form.angle == math.pi / 2
+    assert form.axis == pytest.approx((0, INV_SQRT2, -INV_SQRT2), abs=1e-15)
+
+
+def test_polar_when_the_squared_norm_underflows():
+    form = polar(Quat(1e-170, 1e-170, 0, 0))
+    assert form.magnitude == pytest.approx(math.sqrt(2) * 1e-170, rel=1e-15)
+    assert form.degenerate  # a vector part within tol of zero has no axis
+    # With no tolerance the axis and angle survive the rescaling.
+    form = polar(Quat(1e-170, 1e-170, 0, 0), tol=0.0)
+    assert form.angle == pytest.approx(math.pi / 4, abs=1e-15)
+    assert form.axis == (1, 0, 0)
+    for k in range(4):
+        c = [0.0] * 4
+        c[k] = 5e-324
+        assert polar(Quat(*c)).magnitude == 5e-324
+
+
+@pytest.mark.parametrize("q", [
+    Quat(FLOAT_MAX, FLOAT_MAX, 0, 0),
+    Quat(0, 1.5e308, 0, -1.5e308),
+    Quat(math.inf, 0, 0, 0),
+    Quat(0, 1, math.nan, 0),
+    Quat(0, math.nan, 0, 0),
+])
+def test_polar_refuses_a_magnitude_beyond_the_floats(q):
+    with pytest.raises(ValueError, match="not a finite float"):
+        polar(q)
+
+
+def test_polar_is_unchanged_where_the_squared_norm_is_normal():
+    rng = random.Random(50)
+    for _ in range(2000):
+        q = _rand_quat(rng) * 10.0 ** rng.randint(-150, 150)
+        mag = math.sqrt(norm(q))
+        vlen = math.sqrt(q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4)
+        form = polar(q, tol=0.0)
+        assert form.magnitude == mag
+        assert form.axis == (q.c2 / vlen, q.c3 / vlen, q.c4 / vlen)
+        assert form.angle == math.atan2(vlen, q.c1)
+
+
 def test_from_polar_known():
     q = from_polar(PolarForm(math.sqrt(2), (1, 0, 0), math.pi / 4))
     assert _close(q, Quat(1, 1, 0, 0), 1e-12)
