@@ -51,20 +51,7 @@ class BiQuat(NamedTuple):
     c3: complex
     c4: complex
 
-    def __add__(self, other):
-        if not isinstance(other, BiQuat):
-            return NotImplemented
-        return BiQuat(self.c1 + other.c1, self.c2 + other.c2,
-                      self.c3 + other.c3, self.c4 + other.c4)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiQuat):
-            return NotImplemented
-        return BiQuat(self.c1 - other.c1, self.c2 - other.c2,
-                      self.c3 - other.c3, self.c4 - other.c4)
-
-    def __neg__(self):
-        return BiQuat(-self.c1, -self.c2, -self.c3, -self.c4)
+    __add__, __sub__, __neg__ = Quat.__add__, Quat.__sub__, Quat.__neg__
 
     def __mul__(self, other):
         if isinstance(other, BiQuat):
@@ -74,11 +61,7 @@ class BiQuat(NamedTuple):
                           self.c3 * other, self.c4 * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return BiQuat(other * self.c1, other * self.c2,
-                          other * self.c3, other * self.c4)
-        return NotImplemented
+    __rmul__ = __mul__
 
 
 class PolarFormC(NamedTuple):

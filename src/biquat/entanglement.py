@@ -161,13 +161,21 @@ def concurrence(q: BiQuat, tol: float = DEFAULT_TOL) -> float:
 
 
 def support(q: BiQuat, tol: float = DEFAULT_TOL) -> frozenset[int]:
-    """1-based indices of the coefficients with magnitude above tol."""
+    """1-based indices of the coefficients with magnitude above tol.
+
+    The rule is absolute: a coefficient with |c| <= tol is outside the
+    support, whatever the size of the others.
+    """
     return frozenset(k for k, c in enumerate(q, 1) if abs(c) > tol)
 
 
 def check_restrictions(p: Quat, q: BiQuat,
                        tol: float = DEFAULT_TOL) -> RestrictionReport:
-    """Evaluate R1-R3 for the rotor p against the state q."""
+    """Evaluate R1-R3 for the rotor p against the state q.
+
+    Supports follow ``support``'s absolute rule: an amplitude with
+    |c| <= tol counts as zero, which can switch the R3 verdict.
+    """
     require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
     require_unit_norm(norm_h(q), tol, "state must be normalized")
     pb = from_quat(p)

@@ -55,20 +55,22 @@ class Quat(NamedTuple):
     c3: float
     c4: float
 
+    # +, - and unary - act on any two values of one class, so
+    # biquaternion.BiQuat reuses them.
     def __add__(self, other):
-        if not isinstance(other, Quat):
+        if type(other) is not type(self):
             return NotImplemented
-        return Quat(self.c1 + other.c1, self.c2 + other.c2,
-                    self.c3 + other.c3, self.c4 + other.c4)
+        return type(self)(self.c1 + other.c1, self.c2 + other.c2,
+                          self.c3 + other.c3, self.c4 + other.c4)
 
     def __sub__(self, other):
-        if not isinstance(other, Quat):
+        if type(other) is not type(self):
             return NotImplemented
-        return Quat(self.c1 - other.c1, self.c2 - other.c2,
-                    self.c3 - other.c3, self.c4 - other.c4)
+        return type(self)(self.c1 - other.c1, self.c2 - other.c2,
+                          self.c3 - other.c3, self.c4 - other.c4)
 
     def __neg__(self):
-        return Quat(-self.c1, -self.c2, -self.c3, -self.c4)
+        return type(self)(-self.c1, -self.c2, -self.c3, -self.c4)
 
     def __mul__(self, other):
         if isinstance(other, Quat):
@@ -78,11 +80,8 @@ class Quat(NamedTuple):
                         self.c3 * other, self.c4 * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quat(other * self.c1, other * self.c2,
-                        other * self.c3, other * self.c4)
-        return NotImplemented
+    # A scalar factor commutes, bit for bit.
+    __rmul__ = __mul__
 
 
 class PolarForm(NamedTuple):
@@ -141,11 +140,31 @@ def magnitude(q: Quat) -> float:
     return math.sqrt(norm(q))
 
 
-def inverse(q: Quat) -> Quat:
+def _rescaled(q: Quat, zero_message: str,
+              always: bool = False) -> tuple[Quat, float, int]:
+    """(q * 2**-e, its N, e).  e = 0 while N is normal and not ``always``;
+    else 2**e is just above q's largest component, an exact scaling that
+    puts N in [1/4, 4).  ValueError(zero_message) for q = 0."""
     n = norm(q)
-    if n == 0.0:
-        raise ValueError("non-invertible: zero quaternion")
-    return Quat(q.c1 / n, -q.c2 / n, -q.c3 / n, -q.c4 / n)
+    if not always and _MIN_NORMAL <= n <= _MAX_FLOAT:
+        return q, n, 0
+    if not any(q):
+        raise ValueError(zero_message)
+    e = math.frexp(max(map(abs, q)))[1]
+    q = Quat(*(math.ldexp(c, -e) for c in q))
+    return q, norm(q), e
+
+
+def inverse(q: Quat) -> Quat:
+    """conj(q) / N; ValueError for q = 0 or a result beyond the floats."""
+    q, n, e = _rescaled(q, "non-invertible: zero quaternion")
+    try:
+        inv = Quat(*(math.ldexp(c / n, -e) for c in conj(q)))
+        if all(map(math.isfinite, inv)):
+            return inv
+    except OverflowError:
+        pass
+    raise ValueError("inverse is not a finite float")
 
 
 def inner(p: Quat, q: Quat) -> float:
@@ -165,11 +184,20 @@ def is_parallel(p: Quat, q: Quat, tol: float = DEFAULT_TOL) -> bool:
 
 
 def angle_between(p: Quat, q: Quat) -> float:
-    """Angle lambda in [0, pi] with cos(lambda) = inner(p,q)/(|p||q|)."""
-    np_, nq = norm(p), norm(q)
-    if np_ == 0.0 or nq == 0.0:
-        raise ValueError("angle undefined for the zero quaternion")
+    """Angle lambda in [0, pi] with cos(lambda) = inner(p,q)/(|p||q|).
+
+    Exact power-of-two scaling, which leaves the cosine unchanged, keeps
+    N and their product normal.  ValueError for a zero or non-finite p, q.
+    """
+    message = "angle undefined for the zero quaternion"
+    p, np_, _ = _rescaled(p, message)
+    q, nq, _ = _rescaled(q, message)
+    if not _MIN_NORMAL <= np_ * nq <= _MAX_FLOAT:
+        p, np_, _ = _rescaled(p, message, always=True)
+        q, nq, _ = _rescaled(q, message, always=True)
     c = inner(p, q) / math.sqrt(np_ * nq)
+    if math.isnan(c):
+        raise ValueError("angle undefined for a non-finite component")
     return math.acos(max(-1.0, min(1.0, c)))
 
 
@@ -181,19 +209,10 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
     result then uses (0, 0, 1) and sets the degenerate flag, with theta
     snapped to 0 or pi by the sign of the scalar part.
 
-    When N over- or underflows, q is first scaled by 2**-e, with 2**e
-    just above its largest component; that is exact, and the lengths
-    are scaled back.  ValueError is raised only for q = 0 and for a
-    magnitude above the float maximum.
+    An N that over- or underflows is scaled away exactly (``_rescaled``).
+    ValueError only for q = 0 and a magnitude above the float maximum.
     """
-    n = norm(q)
-    e = 0
-    if not _MIN_NORMAL <= n <= _MAX_FLOAT:
-        if not any(q):
-            raise ValueError("zero quaternion has no polar form")
-        e = math.frexp(max(map(abs, q)))[1]
-        q = Quat(*(math.ldexp(c, -e) for c in q))
-        n = norm(q)
+    q, n, e = _rescaled(q, "zero quaternion has no polar form")
     try:
         mag = math.ldexp(math.sqrt(n), e)
     except OverflowError:

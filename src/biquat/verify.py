@@ -6,7 +6,8 @@ Two independent routes are compared for each of the eight admissible
 (a) an exact polynomial-identity check - the structure-constant oracle
     evaluates p q p at deterministic rational points and must equal the
     tabulated closed form coordinate by coordinate, with no rounding
-    anywhere; and
+    anywhere.  The closed-form text each report prints is itself what is
+    evaluated, so there is no second copy to drift from it; and
 (b) a floating-point check of the concurrence law C = 4|alpha beta
     a_i a_j| at seeded random normalized points, run through the primary
     (float) implementation.
@@ -26,6 +27,7 @@ in parallel and merge by case id without changing the report.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -65,6 +67,11 @@ _TABLE_NOTE = ("bare alpha/beta entries in the reference forms carry an "
                "identity is polynomial")
 
 
+@functools.cache
+def _compiled(form: str):
+    return compile(form.replace("^", "**"), "<closed form>", "eval")
+
+
 @dataclass(frozen=True)
 class EntangleCase:
     """One admissible pairing and its closed-form expansion."""
@@ -80,6 +87,18 @@ class EntangleCase:
     def predicted_c(self) -> str:
         i, j = self.p_support
         return f"4*|alpha*beta*a{i}*a{j}|"
+
+    def evaluate(self, alpha: ExactScalar, beta: ExactScalar,
+                 a: tuple) -> ExactBiQuat:
+        """Evaluate ``closed_form`` exactly; ``a`` need not be normalized.
+        No builtins: any name but alpha, beta, a_i, a_j is a NameError."""
+        i, j = self.p_support
+        ai, aj = (Fraction(x) for x in a)
+        comps = eval(_compiled(self.closed_form), {"__builtins__": {}},
+                     {"alpha": alpha, "beta": beta, f"a{i}": ai, f"a{j}": aj})
+        return ExactBiQuat.from_scalars(
+            [c if isinstance(c, ExactScalar) else ExactScalar.of(c)
+             for c in comps])
 
 
 # Case ids follow Variant order, then the sorted admissible rotor supports
@@ -122,29 +141,11 @@ _ZERO = ExactScalar.of(0)
 
 def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
                         a: tuple) -> ExactBiQuat:
-    """Evaluate the tabulated expansion of p q p for one case.
-
-    Purely polynomial in the six rational symbols; the rotor pair ``a``
-    need not be normalized.
-    """
-    ai, aj = (Fraction(x) for x in a)
-    n2 = ai * ai + aj * aj
-    d2 = ai * ai - aj * aj
-    x2 = 2 * ai * aj
-    forms = {
-        1: (alpha * d2, beta * n2, alpha * x2, _ZERO),
-        2: (-(alpha * n2), -(beta * d2), _ZERO, -(beta * x2)),
-        3: (-(alpha * x2), _ZERO, alpha * d2, beta * n2),
-        4: (_ZERO, -(beta * x2), alpha * n2, beta * d2),
-        5: (alpha * d2, alpha * x2, beta * n2, _ZERO),
-        6: (-(alpha * n2), _ZERO, -(beta * d2), -(beta * x2)),
-        7: (-(alpha * x2), alpha * d2, _ZERO, beta * n2),
-        8: (_ZERO, alpha * n2, -(beta * x2), beta * d2),
-    }
-    try:
-        return ExactBiQuat.from_scalars(forms[case_id])
-    except KeyError:
-        raise ValueError(f"invalid case id: {case_id}") from None
+    """Evaluate the tabulated expansion of p q p for one case."""
+    for case in ENTANGLE_CASES:
+        if case.case_id == case_id:
+            return case.evaluate(alpha, beta, a)
+    raise ValueError(f"invalid case id: {case_id}")
 
 
 def _identity_points() -> list:
@@ -161,33 +162,28 @@ def _identity_points() -> list:
 
 @dataclass(frozen=True)
 class CaseResult:
-    case_id: int
-    variant: str
-    p_support: tuple[int, int]
-    closed_form: str
-    predicted_c: str
+    case: EntangleCase
     identity_pass: bool
     identity_points: int
     identity_failures: tuple[str, ...]
     law_pass: bool
     law_samples: int
     law_max_error: float
-    stated_form: str | None
-    note: str
 
     @property
     def passed(self) -> bool:
         return self.identity_pass and self.law_pass
 
     def to_dict(self) -> dict:
+        case = self.case
         return {
-            "case_id": self.case_id,
-            "q_variant": self.variant,
-            "p_support": list(self.p_support),
-            "closed_form": self.closed_form,
-            "predicted_concurrence": self.predicted_c,
-            "stated_form": self.stated_form,
-            "note": self.note,
+            "case_id": case.case_id,
+            "q_variant": case.variant.name,
+            "p_support": list(case.p_support),
+            "closed_form": case.closed_form,
+            "predicted_concurrence": case.predicted_c,
+            "stated_form": case.stated_form,
+            "note": case.note,
             "identity": {
                 "pass": self.identity_pass,
                 "points": self.identity_points,
@@ -236,16 +232,17 @@ class TheoremReport:
             "",
         ]
         for c in self.cases:
+            case, (i, j) = c.case, c.case.p_support
             idl = ("PASS" if c.identity_pass else "FAIL")
             lwl = ("PASS" if c.law_pass else "FAIL")
             lines.append(
-                f"case {c.case_id}  q={c.variant} p={{{c.p_support[0]},"
-                f"{c.p_support[1]}}}  identity: {idl} "
+                f"case {case.case_id}  q={case.variant.name} p={{{i},{j}}}  "
+                f"identity: {idl} "
                 f"({c.identity_points - len(c.identity_failures)}/"
                 f"{c.identity_points} exact)  law: {lwl} "
                 f"(max err {c.law_max_error:.3e})")
-            if c.note:
-                lines.append(f"        note: {c.note}")
+            if case.note:
+                lines.append(f"        note: {case.note}")
             for f in c.identity_failures:
                 lines.append(f"        counterexample: {f}")
         lines.append("")
@@ -272,7 +269,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             q = ExactBiQuat.from_scalars(
                 place_pair(case.variant.positions, alpha, beta, _ZERO))
             got = oracle_mul(oracle_mul(p, q), p)
-            want = closed_form_product(case.case_id, alpha, beta, (ai, aj))
+            want = case.evaluate(alpha, beta, (ai, aj))
             if got != want:
                 failures.append(
                     f"point {k}: alpha={alpha} beta={beta} a=({ai},{aj}) "
@@ -299,19 +296,13 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
                 max_err = err
 
         results.append(CaseResult(
-            case_id=case.case_id,
-            variant=case.variant.name,
-            p_support=case.p_support,
-            closed_form=case.closed_form,
-            predicted_c=case.predicted_c,
+            case=case,
             identity_pass=not failures,
             identity_points=len(points),
             identity_failures=tuple(failures),
             law_pass=max_err <= LAW_TOL,
             law_samples=samples,
             law_max_error=max_err,
-            stated_form=case.stated_form,
-            note=case.note,
         ))
     return TheoremReport(samples, seed, len(points), tuple(results))
 
@@ -359,26 +350,27 @@ GOLDEN_EXAMPLES: tuple[_GoldenExample, ...] = (
 
 @dataclass(frozen=True)
 class ExampleResult:
-    example_id: int
-    p_text: str
-    q_text: str
-    stated_text: str
+    example: _GoldenExample
     computed: ExactBiQuat   # scaled by 2*sqrt(2), exact
-    stated_scaled: ExactBiQuat
     exact_match: bool
     magnitude_match: bool
     sign_mismatch_components: tuple[int, ...]
     concurrence_one: bool
     note: str
 
+    @property
+    def example_id(self) -> int:
+        return self.example.example_id
+
     def to_dict(self) -> dict:
+        ex = self.example
         return {
-            "example_id": self.example_id,
-            "p": self.p_text,
-            "q": self.q_text,
-            "stated": self.stated_text,
+            "example_id": ex.example_id,
+            "p": ex.p_text,
+            "q": ex.q_text,
+            "stated": ex.stated_text,
             "computed_scaled": str(self.computed),
-            "stated_scaled": str(self.stated_scaled),
+            "stated_scaled": str(ex.stated_scaled),
             "scale": "2*sqrt(2)",
             "exact_match": self.exact_match,
             "magnitude_match": self.magnitude_match,
@@ -413,9 +405,10 @@ class ExamplesReport:
         lines = ["golden example audit (exact arithmetic, values scaled "
                  "by 2*sqrt(2))", ""]
         for e in self.examples:
-            lines.append(f"example {e.example_id}: p = {e.p_text}, "
-                         f"q = {e.q_text}")
-            lines.append(f"  stated   {e.stated_scaled}")
+            ex = e.example
+            lines.append(f"example {ex.example_id}: p = {ex.p_text}, "
+                         f"q = {ex.q_text}")
+            lines.append(f"  stated   {ex.stated_scaled}")
             lines.append(f"  computed {e.computed}")
             status = "exact match" if e.exact_match else (
                 "magnitudes match, sign differs at component(s) "
@@ -469,12 +462,8 @@ def verify_examples() -> ExamplesReport:
             note = ("stated sign differs from the exact recomputation; "
                     "kept as data, not corrected")
         results.append(ExampleResult(
-            example_id=ex.example_id,
-            p_text=ex.p_text,
-            q_text=ex.q_text,
-            stated_text=ex.stated_text,
+            example=ex,
             computed=computed,
-            stated_scaled=ex.stated_scaled,
             exact_match=exact,
             magnitude_match=mags_ok,
             sign_mismatch_components=tuple(signs),

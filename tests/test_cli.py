@@ -554,7 +554,7 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(_argv())
 def test_fuzzed_argv_exits_0_to_3_without_traceback(argv):
     with tempfile.TemporaryDirectory() as tmp:

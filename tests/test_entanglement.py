@@ -1,17 +1,20 @@
 """State embedding, restrictions, the sandwich map and its concurrence law."""
 
+import cmath
 import json
 import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from biquat.biquaternion import BiQuat, norm_h
 from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, RestrictionError,
                                  StateAmp, Variant, check_restrictions,
                                  concurrence, embed_state, entangle,
                                  entangle_map, predicted_concurrence, support)
-from biquat.quaternion import Quat
+from biquat.quaternion import DEFAULT_TOL, Quat
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 I_SQRT2 = 1j * INV_SQRT2
@@ -62,6 +65,36 @@ def test_support():
     assert support(BiQuat(0, 0, 0, 0)) == frozenset()
 
 
+def test_support_rule_is_an_absolute_tol():
+    # |c| <= tol is outside the support, whatever the other coefficients.
+    edge = DEFAULT_TOL
+    above = math.nextafter(edge, 1.0)
+    assert support(BiQuat(1, edge, 0, -edge * 1j)) == frozenset({1})
+    assert support(BiQuat(1, above, 0, -above * 1j)) == frozenset({1, 2, 4})
+    assert support(BiQuat(1e-300, 0, 0, 0), tol=0.0) == frozenset({1})
+
+
+@pytest.mark.parametrize("small, r3", [(1e-10, True), (2e-9, False)])
+def test_r3_verdict_switches_at_the_absolute_tol(small, r3):
+    # Rotor {1,2} against a V12 state: a second amplitude within tol of
+    # zero leaves the state support {1}, one shared direction, so R3
+    # passes and entangle notes the degeneracy; above tol the supports
+    # share two directions and R3 fails.
+    p = Quat(INV_SQRT2, INV_SQRT2, 0, 0)
+    q = embed_state(StateAmp(math.sqrt(1.0 - small * small), small,
+                             Variant.V12))
+    report = check_restrictions(p, q)
+    assert report.r1_pass and report.r2_pass
+    assert report.r3_pass is r3
+    if r3:
+        assert report.q_support == frozenset({1})
+        assert "degenerate amplitudes" in entangle(p, q).report.detail
+    else:
+        assert "shares 2 directions" in report.detail
+        with pytest.raises(RestrictionError):
+            entangle(p, q)
+
+
 # --- concurrence ---------------------------------------------------------
 
 def test_concurrence_values():
@@ -86,6 +119,53 @@ def test_concurrence_bounds():
         q = BiQuat(*(complex(parts[k], parts[k + 4]) / n for k in range(4)))
         c = concurrence(q)
         assert -1e-12 <= c <= 1.0 + 1e-12
+
+
+_UNIT_INTERVAL = st.floats(-1.0, 1.0)
+
+
+@given(st.lists(_UNIT_INTERVAL, min_size=8, max_size=8))
+def test_concurrence_lies_in_the_unit_interval(parts):
+    n = math.sqrt(sum(x * x for x in parts))
+    assume(n > 1e-3)
+    q = BiQuat(*(complex(parts[k], parts[k + 4]) / n for k in range(4)))
+    assert 0.0 <= concurrence(q) <= 1.0 + 1e-12
+
+
+# A coefficient is zero or at least 1e-6 in magnitude, far from the
+# 1e-9 support threshold, so no rounding can move it across.
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def _unit_rotor(draw):
+    c = [draw(_MAGNITUDES) * draw(st.sampled_from((1.0, -1.0)))
+         for _ in range(4)]
+    n = math.sqrt(sum(x * x for x in c))
+    assume(n > 0.0)
+    return Quat(*(x / n for x in c))
+
+
+@st.composite
+def _unit_state(draw):
+    c = [cmath.rect(draw(_MAGNITUDES), draw(st.floats(0.0, 2 * math.pi)))
+         for _ in range(4)]
+    n = math.sqrt(sum(abs(x) ** 2 for x in c))
+    assume(n > 0.0)
+    return BiQuat(*(x / n for x in c))
+
+
+# Quarter turns move a real amplitude wholly into the imaginary part.
+_PHASES = st.one_of(st.sampled_from((0.5 * math.pi, math.pi, 1.5 * math.pi)),
+                    st.floats(0.0, 2 * math.pi))
+
+
+@given(_unit_rotor(), _unit_state(), _PHASES)
+def test_gate_verdicts_ignore_a_global_phase(p, q, phi):
+    before = check_restrictions(p, q)
+    after = check_restrictions(p, cmath.exp(1j * phi) * q)
+    assert (after.r1_pass, after.r2_pass, after.r3_pass, after.q_support) \
+        == (before.r1_pass, before.r2_pass, before.r3_pass, before.q_support)
 
 
 # --- restrictions ---------------------------------------------------------

@@ -171,6 +171,44 @@ def test_inverse_of_zero_raises():
         inverse(ZERO)
 
 
+@pytest.mark.parametrize("q, want", [
+    (Quat(1e200, 0, 0, 0), (1e-200, 0, 0, 0)),    # N overflows
+    (Quat(1e-170, 0, 0, 0), (1e170, 0, 0, 0)),    # N underflows to 0
+    (Quat(1e-160, 0, 0, 0), (1e160, 0, 0, 0)),    # N is subnormal
+    (Quat(3e200, 4e200, 0, 0), (1.2e-201, -1.6e-201, 0, 0)),
+    (Quat(0, 0, 3e-170, -4e-170), (0, 0, -1.2e169, 1.6e169)),
+])
+def test_inverse_when_the_squared_norm_over_or_underflows(q, want):
+    got = inverse(q)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-15, abs=0.0)
+
+
+def test_inverse_roundtrip_at_extreme_magnitudes():
+    rng = random.Random(51)
+    for _ in range(500):
+        q = _rand_quat(rng) * 10.0 ** rng.randint(-300, 300)
+        assert _close(mul(q, inverse(q)), ONE, 1e-12)
+
+
+@pytest.mark.parametrize("q", [
+    Quat(1e-320, 0, 0, 0),   # the inverse is above the float maximum
+    Quat(math.inf, 0, 0, 0),
+    Quat(1, math.nan, 0, 0),
+])
+def test_inverse_refuses_a_result_beyond_the_floats(q):
+    with pytest.raises(ValueError, match="not a finite float"):
+        inverse(q)
+
+
+def test_inverse_is_unchanged_where_the_squared_norm_is_normal():
+    rng = random.Random(52)
+    for _ in range(2000):
+        q = _rand_quat(rng) * 10.0 ** rng.randint(-150, 150)
+        n = norm(q)
+        assert inverse(q) == (q.c1 / n, -q.c2 / n, -q.c3 / n, -q.c4 / n)
+
+
 # --- inner product and angles ----------------------------------------
 
 def test_inner_values():
@@ -202,6 +240,35 @@ def test_angle_between():
     assert angle_between(I_, I_) == 0.0
     with pytest.raises(ValueError, match="zero quaternion"):
         angle_between(ZERO, I_)
+
+
+@pytest.mark.parametrize("p, q, want", [
+    (Quat(1e-170, 0, 0, 0), Quat(0, 1e-170, 0, 0), math.pi / 2),
+    (Quat(1e200, 0, 0, 0), Quat(1e200, 1e200, 0, 0), math.pi / 4),
+    # Each N is normal, but their product over- or underflows.
+    (Quat(1e100, 0, 0, 0), Quat(1e100, 1e100, 0, 0), math.pi / 4),
+    (Quat(1e-100, 0, 0, 0), Quat(1e-100, 1e-100, 0, 0), math.pi / 4),
+    (Quat(1e-170, 0, 0, 0), Quat(-1e170, 0, 0, 0), math.pi),
+    (Quat(0, 5e-324, 0, 0), Quat(0, 1e300, 0, 0), 0.0),
+])
+def test_angle_between_at_extreme_magnitudes(p, q, want):
+    assert angle_between(p, q) == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [Quat(math.inf, 0, 0, 0),
+                               Quat(0, math.nan, 0, 0)])
+def test_angle_between_refuses_a_non_finite_component(p):
+    with pytest.raises(ValueError, match="non-finite"):
+        angle_between(p, ONE)
+
+
+def test_angle_between_is_unchanged_where_the_norms_are_normal():
+    rng = random.Random(53)
+    for _ in range(2000):
+        p = _rand_quat(rng) * 10.0 ** rng.randint(-75, 75)
+        q = _rand_quat(rng) * 10.0 ** rng.randint(-75, 75)
+        c = inner(p, q) / math.sqrt(norm(p) * norm(q))
+        assert angle_between(p, q) == math.acos(max(-1.0, min(1.0, c)))
 
 
 # --- polar form -------------------------------------------------------

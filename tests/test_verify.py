@@ -1,12 +1,16 @@
 """The eight-case report and the golden example audit."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from biquat.entanglement import Variant
-from biquat.exact import ExactBiQuat, ExactScalar
+from biquat import verify
+from biquat.entanglement import Variant, place_pair
+from biquat.exact import ExactBiQuat, ExactScalar, oracle_mul
 from biquat.verify import (ENTANGLE_CASES, GOLDEN_EXAMPLES, IDENTITY_POINTS,
                            _identity_points, closed_form_product,
                            verify_examples, verify_theorem)
@@ -55,8 +59,8 @@ def test_closed_form_is_homogeneous():
 
 
 def test_closed_form_text_matches_the_code_form():
-    # The report's closed_form strings and closed_form_product are two
-    # copies of each expansion; evaluate the text and compare exactly.
+    # closed_form_product evaluates the report's closed_form string
+    # itself; evaluate the text here too and compare exactly.
     for case in ENTANGLE_CASES:
         i, j = case.p_support
         for alpha, beta, ai, aj in _identity_points():
@@ -72,6 +76,55 @@ def test_closed_form_text_matches_the_code_form():
 def test_closed_form_invalid_case():
     with pytest.raises(ValueError, match="invalid case id"):
         closed_form_product(9, ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+
+
+@pytest.mark.parametrize("text", [
+    "(alpha, beta, a2, 0)",          # a2 is not a symbol of case 1
+    "(abs(alpha), beta, a1, a3)",    # no builtins
+])
+def test_closed_form_may_name_only_its_own_symbols(text):
+    case = replace(ENTANGLE_CASES[0], closed_form=text)
+    with pytest.raises(NameError):
+        case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+
+
+def test_report_checks_the_closed_form_text_it_prints(monkeypatch):
+    # Flip one sign in case 3's text: the identity route must evaluate
+    # that very text, so case 3, and only case 3, fails with exact
+    # counterexamples, and the report prints the flipped text.
+    case = ENTANGLE_CASES[2]
+    flipped = case.closed_form.replace("(-2*alpha*", "(2*alpha*", 1)
+    assert flipped != case.closed_form
+    cases = (*ENTANGLE_CASES[:2], replace(case, closed_form=flipped),
+             *ENTANGLE_CASES[3:])
+    monkeypatch.setattr(verify, "ENTANGLE_CASES", cases)
+    report = verify_theorem(samples=5, seed=3)
+    assert [c.case.case_id for c in report.cases if not c.passed] == [3]
+    bad = report.cases[2]
+    assert not bad.identity_pass and bad.law_pass
+    assert bad.identity_failures
+    assert all("oracle=" in f for f in bad.identity_failures)
+    text = report.to_text()
+    assert "case 3  q=V34 p={1,3}  identity: FAIL" in text
+    assert text.count("counterexample: point") == len(bad.identity_failures)
+    assert "overall: 7/8 cases pass" in text
+    assert report.to_dict()["cases"][2]["closed_form"] == flipped
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-97, 97), st.integers(1, 97))
+
+
+@given(st.sampled_from(ENTANGLE_CASES), st.lists(_RATIONALS, min_size=6,
+                                                  max_size=6))
+def test_closed_forms_equal_the_oracle_at_drawn_rationals(case, r):
+    alpha, beta = ExactScalar(r[0], r[1]), ExactScalar(r[2], r[3])
+    zero = ExactScalar.of(0)
+    p = ExactBiQuat.from_scalars(place_pair(
+        case.p_support, ExactScalar.of(r[4]), ExactScalar.of(r[5]), zero))
+    q = ExactBiQuat.from_scalars(
+        place_pair(case.variant.positions, alpha, beta, zero))
+    assert oracle_mul(oracle_mul(p, q), p) == closed_form_product(
+        case.case_id, alpha, beta, (r[4], r[5]))
 
 
 def test_verify_theorem_passes():
