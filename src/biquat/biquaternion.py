@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from typing import NamedTuple
 
-from .quaternion import DEFAULT_TOL, Quat
+from .quaternion import DEFAULT_TOL, Quat, hamilton
 
 __all__ = [
     "BiQuat",
@@ -93,14 +93,8 @@ def json_form(q: BiQuat) -> dict:
 
 
 def bmul(p: BiQuat, q: BiQuat) -> BiQuat:
-    # Same expansion, term order and association as quaternion.mul so
-    # that real-coefficient inputs reproduce it bit for bit.
-    return BiQuat(
-        p.c1 * q.c1 - p.c2 * q.c2 - p.c3 * q.c3 - p.c4 * q.c4,
-        p.c1 * q.c2 + p.c2 * q.c1 + p.c3 * q.c4 - p.c4 * q.c3,
-        p.c1 * q.c3 - p.c2 * q.c4 + p.c3 * q.c1 + p.c4 * q.c2,
-        p.c1 * q.c4 + p.c2 * q.c3 - p.c3 * q.c2 + p.c4 * q.c1,
-    )
+    """Biquaternion product p q."""
+    return hamilton(BiQuat, p, q)
 
 
 def conjugate(q: BiQuat, kind: str) -> BiQuat:

@@ -32,8 +32,8 @@ import sys
 from . import verify as _verify
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
-                           check_restrictions, concurrence, embed_state,
-                           entangle, entangle_map)
+                           _concurrence, _sandwich, check_restrictions,
+                           concurrence, embed_state, entangle)
 from .quaternion import Quat, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
@@ -286,6 +286,9 @@ def _cmd_sweep(ns) -> int:
     half_pi = math.pi / 2.0
     mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
     phase = [2.0 * math.pi * k / n for k in range(n)]
+    # Rotors and states are unit by construction: rows run unchecked kernels.
+    rotors = [(Quat(ai, 0.0, aj, 0.0), repr(ai), repr(aj))
+              for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]
 
     out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
     rows = 0
@@ -297,18 +300,16 @@ def _cmd_sweep(ns) -> int:
             ma, mb = math.cos(tq), math.sin(tq)
             for pa in phase:
                 alpha = ma * complex(math.cos(pa), math.sin(pa))
+                alpha_text = format_complex(alpha)
                 for pb in phase:
                     beta = mb * complex(math.cos(pb), math.sin(pb))
                     qv = embed_state(StateAmp(alpha, beta, Variant.V12))
-                    for tp in mix:
-                        ai, aj = math.cos(tp), math.sin(tp)
-                        p = Quat(ai, 0.0, aj, 0.0)
-                        c = concurrence(entangle_map(p, qv))
+                    beta_text = format_complex(beta)
+                    for p, ai_text, aj_text in rotors:
+                        c = _concurrence(_sandwich(p, qv))
                         is_max = c >= 1.0 - MAXIMAL_TOL
-                        w.writerow([format_complex(alpha),
-                                    format_complex(beta),
-                                    repr(ai), repr(aj), repr(c),
-                                    1 if is_max else 0])
+                        w.writerow([alpha_text, beta_text, ai_text, aj_text,
+                                    repr(c), 1 if is_max else 0])
                         rows += 1
                         maximal += is_max
     finally:

@@ -134,11 +134,10 @@ def place_pair(positions: tuple[int, int], a, b, zero) -> list:
 
 def embed_state(state: StateAmp, tol: float = DEFAULT_TOL) -> BiQuat:
     """Place (alpha, beta) on the variant's basis pair."""
-    a, b = complex(state.alpha), complex(state.beta)
-    n = (a.real * a.real + a.imag * a.imag
-         + b.real * b.real + b.imag * b.imag)
-    require_unit_norm(n, tol, "state amplitudes are not normalized")
-    return BiQuat(*place_pair(state.variant.positions, a, b, 0j))
+    q = BiQuat(*place_pair(state.variant.positions, complex(state.alpha),
+                           complex(state.beta), 0j))
+    require_unit_norm(norm_h(q), tol, "state amplitudes are not normalized")
+    return q
 
 
 def _concurrence(q: BiQuat) -> float:
@@ -178,9 +177,8 @@ def check_restrictions(p: Quat, q: BiQuat,
     """
     require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
     require_unit_norm(norm_h(q), tol, "state must be normalized")
-    pb = from_quat(p)
-    c_p = _concurrence(pb)
-    ps = support(pb, tol)
+    c_p = _concurrence(p)
+    ps = support(p, tol)
     qs = support(q, tol)
 
     r1 = c_p <= tol

@@ -115,14 +115,19 @@ def from_vector(v) -> Quat:
     return Quat(0.0, float(x), float(y), float(z))
 
 
-def mul(p: Quat, q: Quat) -> Quat:
-    """Quaternion product p q."""
-    return Quat(
+def hamilton(cls, p, q):
+    """Hamilton product p q as a ``cls``; mul and bmul both use it."""
+    return cls(
         p.c1 * q.c1 - p.c2 * q.c2 - p.c3 * q.c3 - p.c4 * q.c4,
         p.c1 * q.c2 + p.c2 * q.c1 + p.c3 * q.c4 - p.c4 * q.c3,
         p.c1 * q.c3 - p.c2 * q.c4 + p.c3 * q.c1 + p.c4 * q.c2,
         p.c1 * q.c4 + p.c2 * q.c3 - p.c3 * q.c2 + p.c4 * q.c1,
     )
+
+
+def mul(p: Quat, q: Quat) -> Quat:
+    """Quaternion product p q."""
+    return hamilton(Quat, p, q)
 
 
 def conj(q: Quat) -> Quat:

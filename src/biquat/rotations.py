@@ -14,7 +14,8 @@ import math
 from typing import NamedTuple
 
 from . import quaternion as rq
-from .biquaternion import BiQuat, bmul, conjugate, is_real, norm_h
+from .biquaternion import (BiQuat, bmul, conjugate, inner_q, is_real,
+                           norm_h)
 from .quaternion import DEFAULT_TOL, Quat, require_unit_norm
 
 __all__ = [
@@ -108,11 +109,9 @@ def rotate_biquat(q: BiQuat, w: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
 
 
 def _require_quaternionic_unit(q: BiQuat, tol: float) -> None:
-    r = bmul(q, conjugate(q, "quaternion"))
-    if not (abs(r.c1 - 1.0) <= tol and abs(r.c2) <= tol
-            and abs(r.c3) <= tol and abs(r.c4) <= tol):
-        raise ValueError(
-            "map requires q * conj_quaternion(q) = 1 (quaternionic unit)")
+    require_unit_norm(
+        inner_q(q, q), tol,
+        "map requires q * conj_quaternion(q) = 1 (quaternionic unit)")
 
 
 def lorentz_map(q: BiQuat, x: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
-                           concurrence, embed_state, entangle_map, place_pair)
+                           _concurrence, _sandwich, embed_state, place_pair)
 from .exact import ExactBiQuat, ExactScalar, oracle_mul, random_rational
 from .quaternion import Quat
 
@@ -289,7 +289,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             ai_f, aj_f = math.cos(t), math.sin(t)
             q_f = embed_state(StateAmp(alpha_f, beta_f, case.variant))
             p_f = Quat(*place_pair(case.p_support, ai_f, aj_f, 0.0))
-            c = concurrence(entangle_map(p_f, q_f))
+            c = _concurrence(_sandwich(p_f, q_f))
             predicted = 4.0 * abs(alpha_f) * abs(beta_f) * abs(ai_f * aj_f)
             err = abs(c - predicted)
             if err > max_err:
