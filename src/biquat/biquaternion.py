@@ -17,9 +17,10 @@ Three conjugations exist and each reverses products:
 from __future__ import annotations
 
 import cmath
+import math
 from typing import NamedTuple
 
-from .quaternion import DEFAULT_TOL, Quat, hamilton
+from .quaternion import _MAX_FLOAT, _MIN_NORMAL, DEFAULT_TOL, Quat, hamilton
 
 __all__ = [
     "BiQuat",
@@ -130,11 +131,34 @@ def norm_h(q: BiQuat) -> float:
             + q.c4.real * q.c4.real + q.c4.imag * q.c4.imag)
 
 
-def normalized(q: BiQuat) -> BiQuat:
-    """Scale q to unit Hermitian norm."""
+def _scaled(q: BiQuat, e: int) -> BiQuat:
+    """q * 2**e, part by part; OverflowError beyond the float maximum."""
+    return BiQuat(*(complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+                    for c in q))
+
+
+def _rescaled_h(q: BiQuat, zero_message: str) -> tuple[BiQuat, float, int]:
+    """(q * 2**-e, its norm_h, e), as ``quaternion._rescaled``: e = 0
+    while norm_h is normal, else 2**e is just above q's largest real or
+    imaginary part.  ValueError for q = 0 (zero_message) or non-finite q."""
     n = norm_h(q)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero biquaternion")
+    if _MIN_NORMAL <= n <= _MAX_FLOAT:
+        return q, n, 0
+    parts = [x for c in q for x in (c.real, c.imag)]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("non-finite component")
+    if not any(parts):
+        raise ValueError(zero_message)
+    e = math.frexp(max(map(abs, parts)))[1]
+    q = _scaled(q, -e)
+    return q, norm_h(q), e
+
+
+def normalized(q: BiQuat) -> BiQuat:
+    """Scale q to unit Hermitian norm.  The result does not depend on q's
+    scale, so ``_rescaled_h`` keeps norm_h normal with no scale-back.
+    ValueError for a zero or non-finite q."""
+    q, n, _ = _rescaled_h(q, "cannot normalize the zero biquaternion")
     s = 1.0 / (n ** 0.5)
     return BiQuat(q.c1 * s, q.c2 * s, q.c3 * s, q.c4 * s)
 
@@ -155,17 +179,20 @@ def inverse_h(q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
 
     Valid only when conjugate(q, "complex") = +-q, i.e. the coefficients
     are all real or all imaginary; then q * q^dagger is the real scalar
-    norm_h(q).  Other inputs raise, as do null/zero ones.
+    norm_h(q).  Other inputs raise, as do null/zero ones.  A norm_h that
+    over- or underflows is scaled away exactly; ValueError for a
+    non-finite q or a result beyond the floats.
     """
     if not (is_real(q, tol) or _is_imaginary(q, tol)):
         raise ValueError(
             "inverse formula inapplicable: coefficients are neither all "
             "real nor all imaginary")
-    n = norm_h(q)
-    if n == 0.0:
-        raise ValueError("non-invertible: zero biquaternion")
+    q, n, e = _rescaled_h(q, "non-invertible: zero biquaternion")
     d = conjugate(q, "hermitian")
-    return BiQuat(d.c1 / n, d.c2 / n, d.c3 / n, d.c4 / n)
+    try:
+        return _scaled(BiQuat(d.c1 / n, d.c2 / n, d.c3 / n, d.c4 / n), -e)
+    except OverflowError:
+        raise ValueError("inverse is not a finite float") from None
 
 
 def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:

@@ -90,12 +90,13 @@ def _parse_json_biquat(text: str) -> BiQuat:
     if (not isinstance(re_, list) or not isinstance(im, list)
             or len(re_) != 4 or len(im) != 4):
         raise ParseError('"re" and "im" must be arrays of 4 numbers')
+    # Only JSON numbers: type() leaves out bool, a subclass of int.
+    if not all(type(x) in (int, float) for x in (*re_, *im)):
+        raise ParseError('"re" and "im" entries must be numbers')
     try:
         q = BiQuat(*(complex(float(r), float(i)) for r, i in zip(re_, im)))
     except OverflowError:
         raise ParseError("non-finite number") from None
-    except (TypeError, ValueError):
-        raise ParseError('"re" and "im" entries must be numbers') from None
     if not all(map(cmath.isfinite, q)):
         raise ParseError("non-finite number")
     return q

@@ -41,7 +41,7 @@ _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
 
 
-def require_unit_norm(n: float, tol: float, message: str) -> None:
+def require_unit_norm(n: complex, tol: float, message: str) -> None:
     """Raise ValueError(message) unless n is within tol of 1; NaN fails."""
     if not abs(n - 1.0) <= tol:
         raise ValueError(message)
@@ -141,8 +141,20 @@ def norm(q: Quat) -> float:
 
 
 def magnitude(q: Quat) -> float:
-    """Euclidean length sqrt(N)."""
-    return math.sqrt(norm(q))
+    """Euclidean length sqrt(N).  An N that over- or underflows is scaled
+    away exactly (``_rescaled``); inf only beyond the float maximum."""
+    if not any(q):  # the one input _rescaled refuses
+        return 0.0
+    _, n, e = _rescaled(q, "")
+    return _scaled_sqrt(n, e)
+
+
+def _scaled_sqrt(n: float, e: int) -> float:
+    """sqrt(n) * 2**e, inf when that is beyond the float maximum."""
+    try:
+        return math.ldexp(math.sqrt(n), e)
+    except OverflowError:
+        return math.inf
 
 
 def _rescaled(q: Quat, zero_message: str,
@@ -218,10 +230,7 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
     ValueError only for q = 0 and a magnitude above the float maximum.
     """
     q, n, e = _rescaled(q, "zero quaternion has no polar form")
-    try:
-        mag = math.ldexp(math.sqrt(n), e)
-    except OverflowError:
-        mag = math.inf
+    mag = _scaled_sqrt(n, e)
     if not mag <= _MAX_FLOAT:  # also NaN
         raise ValueError("magnitude of the polar form is not a finite float")
     vlen = math.sqrt(q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4)

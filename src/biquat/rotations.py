@@ -109,6 +109,8 @@ def rotate_biquat(q: BiQuat, w: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
 
 
 def _require_quaternionic_unit(q: BiQuat, tol: float) -> None:
+    # inner_q(q, q) is the scalar part of q * conj_quaternion(q), bit for
+    # bit; the vector part cancels exactly in floats.
     require_unit_norm(
         inner_q(q, q), tol,
         "map requires q * conj_quaternion(q) = 1 (quaternionic unit)")

@@ -174,6 +174,32 @@ def test_norm_h_and_normalized():
         normalized(BiQuat(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("q, want", [
+    (BiQuat(1e200, 0, 0, 0), BiQuat(1, 0, 0, 0)),
+    (BiQuat(1e-170, 0, 0, 0), BiQuat(1, 0, 0, 0)),
+    (BiQuat(0, 3e200j, 0, -4e200), BiQuat(0, 0.6j, 0, -0.8)),
+    (BiQuat(3e-170 + 4e-170j, 0, 0, 0), BiQuat(0.6 + 0.8j, 0, 0, 0)),
+    (BiQuat(0, 0, 5e-324j, 0), BiQuat(0, 0, 1j, 0)),
+])
+def test_normalized_when_the_norm_over_or_underflows(q, want):
+    assert _close(normalized(q), want, 1e-15)
+
+
+def test_normalized_is_unchanged_where_the_norm_is_normal():
+    rng = random.Random(57)
+    for _ in range(2000):
+        q = _rand_biquat(rng) * 10.0 ** rng.randint(-150, 150)
+        s = 1.0 / (norm_h(q) ** 0.5)
+        assert normalized(q) == (q.c1 * s, q.c2 * s, q.c3 * s, q.c4 * s)
+
+
+@pytest.mark.parametrize("q", [BiQuat(math.inf, 0, 0, 0),
+                               BiQuat(0, complex(0, math.nan), 0, 0)])
+def test_normalized_refuses_a_non_finite_component(q):
+    with pytest.raises(ValueError, match="non-finite"):
+        normalized(q)
+
+
 def test_symmetrized_norm_identity():
     # q q^dagger + q* q^bar averages to the real scalar norm_h(q): the
     # vector parts of the two products cancel exactly.
@@ -234,6 +260,45 @@ def test_inverse_h_real_and_imaginary():
     assert _close(bmul(X, inverse_h(X)), ONE_B)
     w = BiQuat(2j, 0, -1j, 0)
     assert _close(bmul(w, inverse_h(w)), ONE_B)
+
+
+@pytest.mark.parametrize("q, want", [
+    (BiQuat(1e200, 0, 0, 0), BiQuat(1e-200, 0, 0, 0)),
+    (BiQuat(1e-170, 0, 0, 0), BiQuat(1e170, 0, 0, 0)),
+    (BiQuat(0, 2e200j, 0, 0), BiQuat(0, 5e-201j, 0, 0)),
+    (BiQuat(1e-170j, 0, 0, 0), BiQuat(-1e170j, 0, 0, 0)),
+])
+def test_inverse_h_when_the_norm_over_or_underflows(q, want):
+    assert all(g == pytest.approx(w, rel=1e-15, abs=0.0)
+               for g, w in zip(inverse_h(q), want))
+
+
+def test_inverse_h_roundtrip_at_extreme_magnitudes():
+    rng = random.Random(58)
+    for _ in range(500):
+        q = from_quat(_rand_quat(rng)) * 10.0 ** rng.randint(-300, 300)
+        if rng.random() < 0.5:
+            q = q * 1j
+        assert _close(bmul(q, inverse_h(q)), ONE_B)
+
+
+def test_inverse_h_is_unchanged_where_the_norm_is_normal():
+    rng = random.Random(59)
+    for _ in range(2000):
+        q = from_quat(_rand_quat(rng)) * 10.0 ** rng.randint(-150, 150)
+        n = norm_h(q)
+        d = conjugate(q, "hermitian")
+        assert inverse_h(q) == (d.c1 / n, d.c2 / n, d.c3 / n, d.c4 / n)
+
+
+@pytest.mark.parametrize("q, match", [
+    (BiQuat(1e-320, 0, 0, 0), "not a finite float"),
+    (BiQuat(math.inf, 0, 0, 0), "non-finite"),
+    (BiQuat(0, complex(0, math.nan), 0, 0), "non-finite"),
+])
+def test_inverse_h_refuses_a_non_finite_input_or_result(q, match):
+    with pytest.raises(ValueError, match=match):
+        inverse_h(q)
 
 
 def test_inverse_h_rejects_mixed_and_zero():

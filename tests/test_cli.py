@@ -84,6 +84,17 @@ def test_parse_json_errors():
         parse_biquat('{"re": [1,0,0,"x"], "im": [0,0,0,0]}')
 
 
+@pytest.mark.parametrize("entry", ["true", "false", "null", '"0.6"',
+                                   '" 1 "', '"1"', "[1]", '{"a": 1}'])
+def test_json_entries_must_be_json_numbers(entry):
+    text = '{"re": [%s, 0, 0, 0], "im": [0, 0, 0, 0]}' % entry
+    with pytest.raises(ParseError, match="must be numbers"):
+        parse_biquat(text)
+    code, out, err = run_cli(["--json", "concurrence", text])
+    assert (code, out) == (1, "")
+    assert "parse error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["concurrence", '{"re":[NaN,0,0,0],"im":[0,0,0,0]}'],
     ["polar", "1e999, 0, 0, 0"],

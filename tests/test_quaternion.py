@@ -117,6 +117,30 @@ def test_conj_and_norm():
     assert mul(conj(q), q) == Quat(30, 0, 0, 0)
 
 
+@pytest.mark.parametrize("q, want", [
+    (Quat(1e200, 0, 0, 0), 1e200),
+    (Quat(1e-170, 0, 0, 0), 1e-170),
+    (Quat(0, 0, 0, -5e-324), 5e-324),
+    (Quat(1e308, 1e308, 0, 0), math.sqrt(2) * 1e308),
+    (ZERO, 0.0),
+    (Quat(-0.0, 0.0, -0.0, 0.0), 0.0),
+])
+def test_magnitude_when_the_squared_norm_over_or_underflows(q, want):
+    assert magnitude(q) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_magnitude_is_inf_only_beyond_the_float_maximum():
+    assert magnitude(Quat(FLOAT_MAX, 0, 0, 0)) == FLOAT_MAX
+    assert magnitude(Quat(FLOAT_MAX, FLOAT_MAX, 0, 0)) == math.inf
+
+
+def test_magnitude_is_unchanged_where_the_squared_norm_is_normal():
+    rng = random.Random(53)
+    for _ in range(2000):
+        q = _rand_quat(rng) * 10.0 ** rng.randint(-150, 150)
+        assert magnitude(q) == math.sqrt(norm(q))
+
+
 def test_conj_reverses_products():
     rng = random.Random(43)
     for _ in range(500):
