@@ -202,11 +202,24 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
     biquaternions (inner_q(q, q) = 0) have no polar form and raise.  The
     same holds when the vector part is nonzero yet null, since no unit
     axis exists for it.  All branch choices are principal.
+
+    The null tests are absolute: q is refused when |inner_q(q, q)| <= tol,
+    so BiQuat(1e-5, 0, 0, 0) (inner_q 1e-10) is null at the default tol.
+    A norm_h that over- or underflows is first scaled away exactly
+    (``_rescaled_h``), so those tests then apply to q * 2**-e and only the
+    magnitude is scaled back; axis and angle do not depend on the scale.
+    ValueError for a non-finite q or a magnitude beyond the floats.
     """
+    q, _, e = _rescaled_h(q, "no polar form: null biquaternion")
     n = inner_q(q, q)
     if abs(n) <= tol:
         raise ValueError("no polar form: null biquaternion")
     mag = cmath.sqrt(n)
+    try:
+        scaled_mag = complex(math.ldexp(mag.real, e), math.ldexp(mag.imag, e))
+    except OverflowError:
+        raise ValueError(
+            "magnitude of the polar form is not a finite float") from None
     v2 = q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4
     s = cmath.sqrt(v2)
     if abs(s) <= tol:
@@ -214,11 +227,11 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
             raise ValueError("no polar form: null vector part")
         # Pure scalar: cos z = c1/mag is +-1 and the axis is conventional.
         z = -1j * cmath.log(q.c1 / mag)
-        return PolarFormC(mag, BiQuat(0j, 0j, 0j, 1 + 0j), z, True)
+        return PolarFormC(scaled_mag, BiQuat(0j, 0j, 0j, 1 + 0j), z, True)
     axis = BiQuat(0j, q.c2 / s, q.c3 / s, q.c4 / s)
     # exp(iz) = cos z + i sin z determines z through the principal log.
     z = -1j * cmath.log(q.c1 / mag + 1j * (s / mag))
-    return PolarFormC(mag, axis, z, False)
+    return PolarFormC(scaled_mag, axis, z, False)
 
 
 def is_central(q: BiQuat, tol: float = DEFAULT_TOL) -> bool:

@@ -6,9 +6,15 @@ rational coordinates over the real basis
     (1, i^, j^, k^, i, i i^, i j^, i k^)
 
 and products are accumulated through an explicit structure-constant
-table derived from the defining relations alone.  Nothing here touches
-the floating complex-coefficient path in ``biquaternion``, so agreement
+table derived from the defining relations alone.  ``oracle_mul`` is not
+written by hand: at import it is generated from that table as one
+straight-line sum per output coordinate.  Nothing here touches the
+floating complex-coefficient path in ``biquaternion``, so agreement
 between the two is evidence, not tautology.
+
+Coordinates are held as integer numerators over one denominator; the
+constructor reads a ``Fraction`` or ``int`` input as its own integer
+ratio and converts every other type through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -139,12 +145,14 @@ class ExactBiQuat:
     def __init__(self, coords):
         if len(coords) != 8:
             raise ValueError("ExactBiQuat needs exactly 8 coordinates")
-        fracs = [Fraction(c) for c in coords]
-        den = math.lcm(*(f.denominator for f in fracs))
+        # A Fraction or int already is a reduced ratio; only other types
+        # (bool and subclasses included) are converted through Fraction.
+        ratios = [(c if type(c) is Fraction or type(c) is int
+                   else Fraction(c)).as_integer_ratio() for c in coords]
+        den = math.lcm(*(d for _, d in ratios))
         # The lcm of reduced denominators is the least common one, so
         # no further reduction is needed.
-        _set_nums(self, tuple([f.numerator * (den // f.denominator)
-                               for f in fracs]))
+        _set_nums(self, tuple([n * (den // d) for n, d in ratios]))
         _set_den(self, den)
 
     @classmethod
@@ -238,19 +246,39 @@ def _reduced(nums, den: int) -> ExactBiQuat:
     return _canonical(tuple(nums), den)
 
 
-def oracle_mul(p: ExactBiQuat, q: ExactBiQuat) -> ExactBiQuat:
-    """Exact product accumulated through the structure-constant table."""
-    qn = q.nums
-    out = [0] * 8
-    for a, pa in enumerate(p.nums):
-        if not pa:
-            continue
-        row = STRUCTURE[a]
-        for b, qb in enumerate(qn):
-            if qb:
-                sign, c = row[b]
-                out[c] += pa * qb if sign > 0 else -(pa * qb)
-    return _reduced(out, p.den * q.den)
+def _generate_product(structure):
+    """Compile the exact product from an 8x8 (sign, index) table.
+
+    Each output coordinate becomes one straight-line sum: the products
+    ``p{a}*q{b}`` with sign +1 first, then those with sign -1, all read
+    from ``structure``, so the code follows the table and is never
+    written by hand.  The function is executed with this module's
+    ``__name__``, so its ``__module__`` is ``biquat.exact``.
+    """
+    plus = [[] for _ in range(8)]
+    minus = [[] for _ in range(8)]
+    for a, row in enumerate(structure):
+        for b, (sign, c) in enumerate(row):
+            (plus if sign > 0 else minus)[c].append(f"p{a}*q{b}")
+    sums = []
+    for c in range(8):
+        text = " + ".join(plus[c]) or "0"
+        sums.append(" - ".join([text, *minus[c]]))
+    lines = [
+        "def oracle_mul(p, q):",
+        '    """Exact product p q through the structure-constant table."""',
+        "    " + ", ".join(f"p{a}" for a in range(8)) + " = p.nums",
+        "    " + ", ".join(f"q{b}" for b in range(8)) + " = q.nums",
+        "    return _reduced([",
+        *(f"        {text}," for text in sums),
+        "    ], p.den * q.den)",
+    ]
+    namespace = {"__name__": __name__, "_reduced": _reduced}
+    exec("\n".join(lines), namespace)
+    return namespace["oracle_mul"]
+
+
+oracle_mul = _generate_product(STRUCTURE)
 
 
 # Coordinate sets negated by each conjugation (complex / quaternion

@@ -17,7 +17,7 @@ import pytest
 from biquat.biquaternion import (CONJUGATION_KINDS, BiQuat, bmul, conjugate,
                                  from_quat, inner_h, inner_q, inverse_h,
                                  is_central, is_real, norm_h, normalized,
-                                 polar_c, real_part)
+                                 PolarFormC, polar_c, real_part)
 from biquat.exact import ExactBiQuat, exact_conj, oracle_mul, random_exact_biquat
 from biquat.quaternion import Quat, conj, mul
 
@@ -359,6 +359,76 @@ def test_polar_c_rejects_null():
     # unit axis exists even though the magnitude does.
     with pytest.raises(ValueError, match="null vector part"):
         polar_c(BiQuat(2, 1, 1j, 0))
+
+
+@pytest.mark.parametrize("q, mag, axis, angle", [
+    (BiQuat(1e200, 0, 0, 0), 1e200, BiQuat(0, 0, 0, 1), 0),
+    (BiQuat(1e-170, 0, 0, 0), 1e-170, BiQuat(0, 0, 0, 1), 0),
+    (BiQuat(5e-324, 0, 0, 0), 5e-324, BiQuat(0, 0, 0, 1), 0),
+    (BiQuat(1e200, 1e200, 0, 0), math.sqrt(2) * 1e200, BiQuat(0, 1, 0, 0),
+     math.pi / 4),
+    (BiQuat(0, 0, 3e-170, 0), 3e-170, BiQuat(0, 0, 1, 0), math.pi / 2),
+])
+def test_polar_c_when_the_norm_over_or_underflows(q, mag, axis, angle):
+    form = polar_c(q)
+    assert abs(form.magnitude - mag) <= 1e-15 * mag
+    assert _close(form.axis, axis, 1e-15)
+    assert abs(form.angle - angle) <= 1e-15
+    assert form.degenerate == (axis == BiQuat(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("q, match", [
+    (BiQuat(1e200, 1e200j, 0, 0), "null biquaternion"),  # null, not inf-inf
+    (BiQuat(1e-5, 0, 0, 0), "null biquaternion"),  # absolute tol, normal N
+    (BiQuat(1.7e308, 1.7e308, 0, 0), "not a finite float"),
+    (BiQuat(math.inf, 0, 0, 0), "non-finite"),
+    (BiQuat(1, complex(0, math.nan), 0, 0), "non-finite"),
+])
+def test_polar_c_refusals_at_extreme_magnitudes(q, match):
+    with pytest.raises(ValueError, match=match):
+        polar_c(q)
+
+
+def _polar_c_unscaled(q, tol=1e-9):
+    # polar_c as it read before the rescale, the reference where norm_h
+    # is a normal float.
+    n = inner_q(q, q)
+    if abs(n) <= tol:
+        raise ValueError("no polar form: null biquaternion")
+    mag = cmath.sqrt(n)
+    v2 = q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4
+    s = cmath.sqrt(v2)
+    if abs(s) <= tol:
+        if max(abs(q.c2), abs(q.c3), abs(q.c4)) > tol:
+            raise ValueError("no polar form: null vector part")
+        z = -1j * cmath.log(q.c1 / mag)
+        return PolarFormC(mag, BiQuat(0j, 0j, 0j, 1 + 0j), z, True)
+    axis = BiQuat(0j, q.c2 / s, q.c3 / s, q.c4 / s)
+    z = -1j * cmath.log(q.c1 / mag + 1j * (s / mag))
+    return PolarFormC(mag, axis, z, False)
+
+
+def _outcome(f, q):
+    try:
+        return repr(f(q))  # repr tells signed zeros apart
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_polar_c_is_unchanged_where_the_norm_is_normal():
+    rng = random.Random(60)
+    seen = set()
+    for k in range(2000):
+        q = _rand_biquat(rng) * 10.0 ** rng.randint(-150, 150)
+        if k % 4 == 1:  # pure scalar: the degenerate branch
+            q = BiQuat(q.c1, 0j, 0j, 0j)
+        elif k % 4 == 2:  # null: the refusal
+            q = BiQuat(q.c1, 1j * q.c1, 0j, 0j)
+        assert 2.2250738585072014e-308 <= norm_h(q) <= 1.7976931348623157e308
+        want = _outcome(_polar_c_unscaled, q)
+        assert _outcome(polar_c, q) == want
+        seen.add(want[:11])
+    assert {"PolarFormC(", "no polar fo"} <= seen
 
 
 # --- matrix representation ------------------------------------------------

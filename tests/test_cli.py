@@ -149,6 +149,24 @@ def test_golden_plain_rendering():
                                 "0.7071067811865476i, 0")
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.builds(complex, _finite, _finite), min_size=4,
+                max_size=4),
+       st.sampled_from(["plain", "json"]))
+def test_parse_format_roundtrip_keeps_every_bit_but_the_zero_sign(parts,
+                                                                   style):
+    # Both styles print a zero as "0", so -0.0 comes back as 0.0 (lossy by
+    # design, stated in the README); every other part, subnormals and
+    # the float extremes included, comes back bit for bit.
+    q = BiQuat(*parts)
+    back = parse_biquat(format_biquat(q, style))
+    want = [x if x else 0.0 for c in q for x in (c.real, c.imag)]
+    got = [x for c in back for x in (c.real, c.imag)]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 def test_parse_format_roundtrip():
     rng = random.Random(81)
     for _ in range(1000):

@@ -1,10 +1,17 @@
 """The rational oracle: structure table, exact ops, agreement with floats."""
 
+import ast
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from biquat import exact
 from biquat.biquaternion import BiQuat, bmul, conjugate
 from biquat.exact import (STRUCTURE, ExactBiQuat, ExactScalar,
                           check_basis_associativity, exact_conj, oracle_mul,
@@ -182,6 +189,155 @@ def test_oracle_mul_rational_inputs():
     q = ExactBiQuat((Fraction(3, 7), 0, 0, 0, Fraction(1, 2), 0, 0, 0))
     out = oracle_mul(p, q)
     assert out.component(1) == ExactScalar.of(Fraction(1, 7), Fraction(1, 6))
+
+
+# --- the generated product ------------------------------------------------
+
+def _reference_mul(p, q, structure=STRUCTURE):
+    # The product read off the table one term at a time, in Fractions.
+    out = [Fraction(0)] * 8
+    for a, pa in enumerate(p.coords):
+        for b, qb in enumerate(q.coords):
+            sign, c = structure[a][b]
+            out[c] += sign * pa * qb
+    return ExactBiQuat(out)
+
+
+def _basis(k):
+    return ExactBiQuat(tuple(int(i == k) for i in range(8)))
+
+
+def _sparse_pair(rng):
+    # Identity-shaped: a real rotor on two units, a state with two
+    # complex amplitudes, as in the p q p identities of verify-theorem.
+    p, q = [0] * 8, [0] * 8
+    for k in rng.sample(range(4), 2):
+        p[k] = random_rational(rng, 30)
+    for k in rng.sample(range(4), 2):
+        q[k], q[k + 4] = random_rational(rng, 30), random_rational(rng, 30)
+    return ExactBiQuat(p), ExactBiQuat(q)
+
+
+def _sample_pairs(seed):
+    rng = random.Random(seed)
+    pairs = [(_basis(a), _basis(b)) for a in range(8) for b in range(8)]
+    for _ in range(200):
+        pairs.append((random_exact_biquat(rng, dyadic=True),
+                      random_exact_biquat(rng, dyadic=True)))
+        pairs.append((random_exact_biquat(rng), random_exact_biquat(rng)))
+        pairs.append(_sparse_pair(rng))
+    return pairs
+
+
+def test_generated_product_equals_the_table_read_term_by_term():
+    for p, q in _sample_pairs(82):
+        assert oracle_mul(p, q) == _reference_mul(p, q)
+
+
+def test_generated_product_follows_a_flipped_sign():
+    # Flip one entry at a time: the product generated from that table
+    # changes on exactly the basis pair that uses the entry, and agrees
+    # with the term-by-term reference over the same flipped table.
+    pairs = _sample_pairs(83)[64:94]  # past the basis pairs
+    for a in range(8):
+        for b in range(8):
+            table = [list(row) for row in STRUCTURE]
+            sign, c = table[a][b]
+            table[a][b] = (-sign, c)
+            mul = exact._generate_product(table)
+            changed = {(x, y) for x in range(8) for y in range(8)
+                       if mul(_basis(x), _basis(y))
+                       != oracle_mul(_basis(x), _basis(y))}
+            assert changed == {(a, b)}
+            for p, q in pairs:
+                assert mul(p, q) == _reference_mul(p, q, table)
+
+
+def test_generated_product_is_a_documented_function_of_this_module():
+    # The perfbench tracer wraps only functions whose __module__ is the
+    # module that binds them.
+    assert oracle_mul.__module__ == "biquat.exact"
+    assert oracle_mul.__name__ == "oracle_mul"
+    assert oracle_mul.__doc__
+
+
+def test_exact_imports_nothing_from_the_float_route():
+    tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert not parts & {"quaternion", "biquaternion", "entanglement"}
+
+
+# --- constructor --------------------------------------------------------------
+
+class _Frac(Fraction):
+    # A subclass may redefine what it reports; the constructor must read
+    # it through Fraction(), as for any type other than Fraction and int.
+    def as_integer_ratio(self):
+        return (0, 1)
+
+
+def _via_fraction(coords):
+    fracs = [Fraction(c) for c in coords]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+@pytest.mark.parametrize("coords", [
+    (1, -2, 0, 3, 10 ** 40, 0, -7, 5),
+    (True, False, 1, 0, True, 0, 0, 2),
+    (Fraction(1, 3), Fraction(-5, 6), 0, Fraction(7), 1, 2, 3, 4),
+    (_Frac(1, 3), _Frac(2, 5), 0, 0, 0, 0, 0, Fraction(1, 2)),
+    (0.5, -0.1, 5e-324, 1e300, 0.0, -0.0, 2.0 ** -1074, 3),
+    ("1/3", " -2/7 ", "0.25", "1e-3", 0, 0, 0, 0),
+    (Decimal("0.1"), Decimal("-3.75"), Decimal(2), 0, 0, 0, 0, 0),
+])
+def test_constructor_matches_conversion_through_fraction(coords):
+    x = ExactBiQuat(coords)
+    assert (x.nums, x.den) == _via_fraction(coords)
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+
+
+def _raised(f, *args):
+    with pytest.raises(Exception) as info:
+        f(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
+def test_constructor_refuses_what_fraction_refuses(bad):
+    coords = (1, 0, 0, 0, bad, 0, 0, 0)
+    assert _raised(ExactBiQuat, coords) == _raised(Fraction, bad)
+
+
+def test_constructor_refuses_seven_coordinates():
+    assert _raised(ExactBiQuat, (0,) * 7) == (
+        ValueError, "ExactBiQuat needs exactly 8 coordinates")
+
+
+# --- conjugations reverse products (hypothesis) ------------------------------
+
+_rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(1, 10 ** 6))
+_exact_biquats = st.builds(ExactBiQuat,
+                           st.tuples(*[_rationals] * 8))
+
+
+@given(_exact_biquats, _exact_biquats)
+def test_conjugations_preserve_or_reverse_exact_products(x, y):
+    xy = oracle_mul(x, y)
+    c = {kind: (exact_conj(x, kind), exact_conj(y, kind))
+         for kind in ("complex", "quaternion", "hermitian")}
+    assert exact_conj(xy, "complex") == oracle_mul(*c["complex"])
+    for kind in ("quaternion", "hermitian"):
+        cx, cy = c[kind]
+        assert exact_conj(xy, kind) == oracle_mul(cy, cx)
 
 
 def test_exact_conj_matches_float_conjugate():
