@@ -243,6 +243,11 @@ def _cmd_rotate(ns) -> int:
         result = lorentz_map(qb, xb)
     else:  # mu
         result = complex_rotation(qb, xb)
+    # Finite inputs can still overflow partway through a float sum, even
+    # where the true result is finite: refuse the result, never print it.
+    if not all(map(cmath.isfinite, result)):
+        raise ValueError("non-finite result: the float computation "
+                         "overflowed")
     if ns.json:
         print(json.dumps({"map": kind, "result": json_form(result)},
                          indent=2))

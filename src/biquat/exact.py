@@ -161,6 +161,15 @@ class ExactBiQuat:
         return cls((s1.re, s2.re, s3.re, s4.re, s1.im, s2.im, s3.im, s4.im))
 
     @classmethod
+    def from_ratio(cls, nums, den: int) -> "ExactBiQuat":
+        """Eight integer numerators over one positive integer denominator,
+        reduced here by their gcd."""
+        if len(nums) != 8 or den <= 0:
+            raise ValueError("ExactBiQuat.from_ratio needs 8 numerators and "
+                             "a positive denominator")
+        return _reduced(nums, den)
+
+    @classmethod
     def from_biquat(cls, q) -> "ExactBiQuat":
         # Fraction(float) is exact, so this embedding loses nothing.
         return cls(tuple(complex(c).real for c in q)

@@ -19,6 +19,16 @@ up in golden example 2).  Bare alpha/beta entries in the reference table
 implicitly assume a_i^2 + a_j^2 = 1; the evaluated forms restore that
 factor so each identity is polynomial and holds off the unit circle too.
 
+Closed-form texts are never passed to ``eval``.  On first use each text
+is parsed once, with ``^`` read as ``**``, and compiled to one
+straight-line function of Python ints: the six real inputs go over one
+common denominator and the result is reduced once.  The accepted grammar
+is a 4-tuple of int literals, the names ``alpha``, ``beta``, ``a{i}``
+and ``a{j}``, binary ``+``, ``-`` and ``*``, unary ``-`` and ``**`` with
+a non-negative int literal exponent.  Any other name is a NameError and
+any other syntax a ValueError.  The compiler reads neither ``STRUCTURE``
+nor ``oracle_mul``, so the two sides of the identity stay independent.
+
 Reports are deterministic: a fixed seed yields byte-identical text and
 dict renderings.  Case checks are independent (each draws from its own
 generator keyed by seed and case id), so they could run in any order or
@@ -27,6 +37,7 @@ in parallel and merge by case id without changing the report.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import random
@@ -67,9 +78,158 @@ _TABLE_NOTE = ("bare alpha/beta entries in the reference forms carry an "
                "identity is polynomial")
 
 
+def _ratio(x) -> tuple[int, int]:
+    # As ExactBiQuat reads a coordinate: an int or Fraction is its own
+    # reduced ratio, every other type goes through Fraction.
+    if type(x) is not int and type(x) is not Fraction:
+        x = Fraction(x)
+    return x.as_integer_ratio()
+
+
+class _FormWriter:
+    """Straight-line integer code for one parsed closed-form tuple.
+
+    The six real inputs are read as ``x0 .. x5 / D`` over one common
+    denominator ``D``.  A node of degree k stands for ``num / D**k`` and
+    is held as ``(re, im, k)``, where ``re`` and ``im`` name an integer
+    variable, or are ``None`` when known to be zero.  ``+`` and ``-``
+    bring both sides to the larger degree first, so any polynomial text
+    is exact, homogeneous or not.
+    """
+
+    def __init__(self, i: int, j: int):
+        self.leaves = {"alpha": ("x0", "x1", 1), "beta": ("x2", "x3", 1),
+                       f"a{i}": ("x4", None, 1), f"a{j}": ("x5", None, 1)}
+        self.lines: list[str] = []
+        self.powers: set[int] = set()
+        self.names: dict[str, str] = {}
+
+    def temp(self, expr: str) -> str:
+        """A variable holding ``expr``; a repeated expression is reused."""
+        name = self.names.get(expr)
+        if name is None:
+            name = self.names[expr] = f"t{len(self.lines)}"
+            self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def power(self, m: int) -> str:
+        if m == 1:
+            return "D"
+        self.powers.add(m)
+        return f"D{m}"
+
+    def scaled(self, part, m: int):
+        if part is None or m == 0:
+            return part
+        return self.temp(f"{part} * {self.power(m)}")
+
+    def neg(self, part):
+        return None if part is None else self.temp(f"-{part}")
+
+    def combine(self, a, b, op: str):
+        if b is None:
+            return a
+        if a is None:
+            return b if op == "+" else self.neg(b)
+        return self.temp(f"{a} {op} {b}")
+
+    def product(self, a, b):
+        return None if a is None or b is None else self.temp(f"{a} * {b}")
+
+    def add(self, x, y, op: str):
+        k = max(x[2], y[2])
+        xr, xi = (self.scaled(p, k - x[2]) for p in x[:2])
+        yr, yi = (self.scaled(p, k - y[2]) for p in y[:2])
+        return self.combine(xr, yr, op), self.combine(xi, yi, op), k
+
+    def mul(self, x, y):
+        (xr, xi, xk), (yr, yi, yk) = x, y
+        return (self.combine(self.product(xr, yr), self.product(xi, yi), "-"),
+                self.combine(self.product(xr, yi), self.product(xi, yr), "+"),
+                xk + yk)
+
+    def pow(self, x, n: int):
+        if n == 0:
+            return "1", None, 0
+        result = None
+        while True:  # square and multiply, lowest bit first
+            if n & 1:
+                result = x if result is None else self.mul(result, x)
+            n >>= 1
+            if not n:
+                return result
+            x = self.mul(x, x)
+
+    def node(self, e):
+        """(re, im, k) of one sub-expression; raises on any other syntax."""
+        if type(e) is ast.Constant and type(e.value) is int:
+            return (str(e.value) if e.value else None), None, 0
+        if type(e) is ast.Name:
+            return self.leaves[e.id]
+        if type(e) is ast.UnaryOp and type(e.op) is ast.USub:
+            re_, im, k = self.node(e.operand)
+            return self.neg(re_), self.neg(im), k
+        if type(e) is ast.BinOp:
+            op = type(e.op)
+            if op is ast.Pow:
+                n = e.right
+                if not (type(n) is ast.Constant and type(n.value) is int):
+                    raise ValueError("closed form: an exponent must be a "
+                                     "non-negative int literal")
+                out = self.pow(self.node(e.left), n.value)
+            elif op in (ast.Add, ast.Sub, ast.Mult):
+                x, y = self.node(e.left), self.node(e.right)
+                out = (self.mul(x, y) if op is ast.Mult
+                       else self.add(x, y, "+" if op is ast.Add else "-"))
+            else:
+                raise ValueError(f"closed form: unsupported operator "
+                                 f"{ast.unparse(e)!r}")
+            # A known zero has no numerator to bring to any degree.
+            return out if out[:2] != (None, None) else (None, None, 0)
+        raise ValueError(f"closed form: unsupported syntax {ast.unparse(e)!r}")
+
+
 @functools.cache
-def _compiled(form: str):
-    return compile(form.replace("^", "**"), "<closed form>", "eval")
+def _compiled(form: str, i: int, j: int):
+    """Compile one closed-form text to a function of (alpha, beta, a_i, a_j).
+
+    ``^`` is read as ``**``.  The text must be a 4-tuple built only from
+    int literals, the names alpha, beta, a{i} and a{j}, binary ``+``,
+    ``-`` and ``*``, unary ``-`` and ``**`` with a non-negative int
+    literal exponent.  Any other name is a NameError and any other syntax
+    a ValueError.  The function is one straight line of integer
+    arithmetic, executed with this module's ``__name__``; its result is
+    canonicalised once, over ``D**k`` for the largest degree k.
+    """
+    tree = ast.parse(form.replace("^", "**"), "<closed form>", mode="eval")
+    w = _FormWriter(i, j)
+    for e in ast.walk(tree):
+        if type(e) is ast.Name and e.id not in w.leaves:
+            raise NameError(f"name {e.id!r} is not defined")
+    body = tree.body
+    if type(body) is not ast.Tuple or len(body.elts) != 4:
+        raise ValueError("closed form: expected a tuple of 4 entries")
+    comps = [w.node(e) for e in body.elts]
+    k = max(c[2] for c in comps)
+    nums = [w.scaled(c[part], k - c[2]) or "0"
+            for part in (0, 1) for c in comps]
+    den = "1" if k == 0 else w.power(k)
+    lines = [
+        "def closed_form(alpha, beta, ai, aj):",
+        *(f"    n{m}, d{m} = _ratio({v})" for m, v in enumerate(
+            ("alpha.re", "alpha.im", "beta.re", "beta.im", "ai", "aj"))),
+        "    D = _lcm(d0, d1, d2, d3, d4, d5)",
+        *(f"    x{m} = n{m} * (D // d{m})" for m in range(6)),
+        *(f"    D{m} = D ** {m}" for m in sorted(w.powers)),
+        *w.lines,
+        f"    return _from_ratio(({', '.join(nums)}), {den})",
+    ]
+    namespace = {"__name__": __name__, "_ratio": _ratio, "_lcm": math.lcm,
+                 "_from_ratio": ExactBiQuat.from_ratio}
+    exec("\n".join(lines), namespace)
+    fn = namespace["closed_form"]
+    fn.__doc__ = f"Exact value of {form!r} at (alpha, beta, a{i}, a{j})."
+    return fn
 
 
 @dataclass(frozen=True)
@@ -91,14 +251,10 @@ class EntangleCase:
     def evaluate(self, alpha: ExactScalar, beta: ExactScalar,
                  a: tuple) -> ExactBiQuat:
         """Evaluate ``closed_form`` exactly; ``a`` need not be normalized.
-        No builtins: any name but alpha, beta, a_i, a_j is a NameError."""
+        Any name but alpha, beta, a_i, a_j is a NameError."""
         i, j = self.p_support
-        ai, aj = (Fraction(x) for x in a)
-        comps = eval(_compiled(self.closed_form), {"__builtins__": {}},
-                     {"alpha": alpha, "beta": beta, f"a{i}": ai, f"a{j}": aj})
-        return ExactBiQuat.from_scalars(
-            [c if isinstance(c, ExactScalar) else ExactScalar.of(c)
-             for c in comps])
+        ai, aj = a
+        return _compiled(self.closed_form, i, j)(alpha, beta, ai, aj)
 
 
 # Case ids follow Variant order, then the sorted admissible rotor supports
@@ -136,16 +292,19 @@ ENTANGLE_CASES: tuple[EntangleCase, ...] = tuple(
     for k, ((v, sup), form) in enumerate(
         zip(_PAIRINGS, _CLOSED_FORMS, strict=True), 1))
 
+_CASES_BY_ID = {case.case_id: case for case in ENTANGLE_CASES}
+
 _ZERO = ExactScalar.of(0)
 
 
 def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
                         a: tuple) -> ExactBiQuat:
     """Evaluate the tabulated expansion of p q p for one case."""
-    for case in ENTANGLE_CASES:
-        if case.case_id == case_id:
-            return case.evaluate(alpha, beta, a)
-    raise ValueError(f"invalid case id: {case_id}")
+    try:
+        case = _CASES_BY_ID[case_id]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise ValueError(f"invalid case id: {case_id}") from None
+    return case.evaluate(alpha, beta, a)
 
 
 def _identity_points() -> list:

@@ -303,6 +303,19 @@ def test_rotate_command_conj_and_errors():
     assert "unit norm" in err
 
 
+@pytest.mark.parametrize("flag", [[], ["--json"]])
+@pytest.mark.parametrize("kind", ["left", "right", "conj", "psi", "lorentz",
+                                  "mu"])
+def test_rotate_refuses_a_non_finite_result(kind, flag):
+    # Every input is finite and so is the true left rotation (its second
+    # component is 1.7e308), but the float sums overflow partway through.
+    big = ",".join(["1.7e308"] * 4)
+    code, out, err = run_cli([*flag, "rotate", "--map", kind,
+                              "--q", "0.5,0.5,0.5,0.5", "--x", big])
+    assert (code, out) == (1, "")
+    assert err.startswith("biquat: error: non-finite result")
+
+
 def test_polar_command():
     code, out, _ = run_cli(["polar", "1,1,0,0"])
     assert code == 0

@@ -1,8 +1,14 @@
 """The eight-case report and the golden example audit."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -74,8 +80,10 @@ def test_closed_form_text_matches_the_code_form():
 
 
 def test_closed_form_invalid_case():
-    with pytest.raises(ValueError, match="invalid case id"):
-        closed_form_product(9, ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+    for case_id in (9, 0, -1, "1", None, 1.5, [1]):
+        with pytest.raises(ValueError, match="invalid case id"):
+            closed_form_product(case_id, ExactScalar.of(1), ExactScalar.of(0),
+                                (1, 0))
 
 
 @pytest.mark.parametrize("text", [
@@ -86,6 +94,136 @@ def test_closed_form_may_name_only_its_own_symbols(text):
     case = replace(ENTANGLE_CASES[0], closed_form=text)
     with pytest.raises(NameError):
         case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+
+
+class _Lift(ast.NodeTransformer):
+    """Every int literal becomes ``S(literal)`` and ``x**n`` becomes
+    ``power(x, n)``, so Python's own eval runs a closed-form text over
+    ExactScalar and Fraction."""
+
+    def visit_Constant(self, node):
+        return ast.Call(ast.Name("S", ast.Load()), [node], [])
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Pow):
+            return ast.Call(ast.Name("power", ast.Load()),
+                            [self.visit(node.left), node.right], [])
+        return self.generic_visit(node)
+
+
+def _power(x, n):
+    out = ExactScalar.of(1)
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def _reference_eval(text, p_support, alpha, beta, ai, aj):
+    i, j = p_support
+    tree = _Lift().visit(ast.parse(text.replace("^", "**"), mode="eval"))
+    names = {"S": ExactScalar.of, "power": _power, "alpha": alpha,
+             "beta": beta, f"a{i}": ExactScalar.of(ai),
+             f"a{j}": ExactScalar.of(aj)}
+    code = compile(ast.fix_missing_locations(tree), "<reference>", "eval")
+    return ExactBiQuat.from_scalars(eval(code, {"__builtins__": {}}, names))
+
+
+# Texts that are not homogeneous, with complex powers, zero entries and
+# zero exponents, written in each case's own symbols.
+_MUTATED = (
+    "(alpha + 1, beta*a{i}^3 - a{j}, -(a{i} - 2)^2, 7)",
+    "(alpha^3 - beta^2*a{j}, (alpha - beta)^2, a{i}^0*beta + 0^0, "
+    "alpha*beta - 3)",
+    "(0, -alpha, (alpha*a{i} - beta)^5, -(beta*(a{j} + a{i}))^2 + a{j}^4)",
+)
+_TEXTS = [(case, case.closed_form) for case in ENTANGLE_CASES] + [
+    (case, text.format(i=case.p_support[0], j=case.p_support[1]))
+    for case in ENTANGLE_CASES for text in _MUTATED]
+
+
+@given(st.sampled_from(_TEXTS),
+       st.lists(st.fractions(-97, 97, max_denominator=97), min_size=6,
+                max_size=6))
+def test_compiled_form_equals_the_reference_eval(case_text, r):
+    case, text = case_text
+    alpha, beta = ExactScalar(r[0], r[1]), ExactScalar(r[2], r[3])
+    got = replace(case, closed_form=text).evaluate(alpha, beta, (r[4], r[5]))
+    assert got == _reference_eval(text, case.p_support, alpha, beta,
+                                  r[4], r[5])
+
+
+@pytest.mark.parametrize("case_id, text", [
+    (1, "(alpha.re, beta, a1, a3)"),     # attribute
+    (1, "(alpha(beta), beta, a1, a3)"),  # call
+    (1, "(alpha/2, beta, a1, a3)"),      # true division
+    (1, "(0.5, beta, a1, a3)"),          # float literal
+    (1, "(a1^a3, beta, a1, a3)"),        # exponent that is not a literal
+    (1, "(a1^-2, beta, a1, a3)"),        # negative exponent
+    (1, "(+alpha, beta, a1, a3)"),       # unary plus
+    (1, "(True, beta, a1, a3)"),         # bool literal
+    (1, "(alpha, beta, a1)"),            # three entries
+    (1, "[alpha, beta, a1, a3]"),        # a list
+    (2, ENTANGLE_CASES[1].stated_form),  # the five-entry misprint
+])
+def test_closed_form_rejects_unsupported_syntax(case_id, text):
+    case = replace(ENTANGLE_CASES[case_id - 1], closed_form=text)
+    with pytest.raises(ValueError):
+        case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+
+
+@pytest.mark.parametrize("a", [
+    (2, -5),
+    (0.1, -1.25),
+    ("1/3", "-2"),
+    (Decimal("0.1"), Decimal("-7.5")),
+])
+def test_closed_form_reads_a_through_fraction(a):
+    alpha, beta = ExactScalar.of(1, 2), ExactScalar.of(Fraction(1, 3), -1)
+    exact = tuple(Fraction(x) for x in a)
+    for case in ENTANGLE_CASES:
+        assert (closed_form_product(case.case_id, alpha, beta, a)
+                == closed_form_product(case.case_id, alpha, beta, exact))
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("x", ValueError), (float("nan"), ValueError),
+    (float("inf"), OverflowError)])
+def test_closed_form_refuses_what_fraction_refuses(bad, error):
+    with pytest.raises(error):
+        closed_form_product(1, ExactScalar.of(1), ExactScalar.of(0), (bad, 1))
+
+
+def _code_names(code):
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_compiler_is_independent_of_the_oracle():
+    # The identity route compares two sides; the closed-form side must
+    # not reach the oracle's table or product, or it checks nothing.
+    case = ENTANGLE_CASES[0]
+    compiled = verify._compiled(case.closed_form, *case.p_support)
+    assert compiled.__module__ == "biquat.verify"
+    codes = [verify._compiled.__wrapped__.__code__, compiled.__code__,
+             *(f.__code__ for f in vars(verify._FormWriter).values()
+               if callable(f))]
+    for code in codes:
+        assert not {"STRUCTURE", "oracle_mul"} & _code_names(code)
+
+
+def test_import_compiles_no_closed_form():
+    # Forms compile on first use: importing pays for none of them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import biquat.verify as v; "
+         "print(v._compiled.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"
 
 
 def test_report_checks_the_closed_form_text_it_prints(monkeypatch):
