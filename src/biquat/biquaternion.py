@@ -169,12 +169,11 @@ def is_real(q: BiQuat, tol: float = DEFAULT_TOL) -> bool:
             and abs(q.c3.imag) <= tol and abs(q.c4.imag) <= tol)
 
 
-def _is_imaginary(q: BiQuat, tol: float) -> bool:
-    return (abs(q.c1.real) <= tol and abs(q.c2.real) <= tol
-            and abs(q.c3.real) <= tol and abs(q.c4.real) <= tol)
+def _is_imaginary(q: BiQuat) -> bool:
+    return all(abs(c.real) <= DEFAULT_TOL for c in q)
 
 
-def inverse_h(q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
+def inverse_h(q: BiQuat) -> BiQuat:
     """Inverse q^dagger / norm_h(q).
 
     Valid only when conjugate(q, "complex") = +-q, i.e. the coefficients
@@ -183,7 +182,7 @@ def inverse_h(q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
     over- or underflows is scaled away exactly; ValueError for a
     non-finite q or a result beyond the floats.
     """
-    if not (is_real(q, tol) or _is_imaginary(q, tol)):
+    if not (is_real(q) or _is_imaginary(q)):
         raise ValueError(
             "inverse formula inapplicable: coefficients are neither all "
             "real nor all imaginary")
@@ -195,7 +194,7 @@ def inverse_h(q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
         raise ValueError("inverse is not a finite float") from None
 
 
-def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
+def polar_c(q: BiQuat) -> PolarFormC:
     """Complex polar decomposition magnitude * (cos z + axis sin z).
 
     magnitude is the principal square root of inner_q(q, q), so null
@@ -203,8 +202,8 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
     same holds when the vector part is nonzero yet null, since no unit
     axis exists for it.  All branch choices are principal.
 
-    The null tests are absolute: q is refused when |inner_q(q, q)| <= tol,
-    so BiQuat(1e-5, 0, 0, 0) (inner_q 1e-10) is null at the default tol.
+    The null tests are absolute: q is refused when |inner_q(q, q)| <=
+    DEFAULT_TOL, so BiQuat(1e-5, 0, 0, 0) (inner_q 1e-10) is null.
     A norm_h that over- or underflows is first scaled away exactly
     (``_rescaled_h``), so those tests then apply to q * 2**-e and only the
     magnitude is scaled back; axis and angle do not depend on the scale.
@@ -212,7 +211,7 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
     """
     q, _, e = _rescaled_h(q, "no polar form: null biquaternion")
     n = inner_q(q, q)
-    if abs(n) <= tol:
+    if abs(n) <= DEFAULT_TOL:
         raise ValueError("no polar form: null biquaternion")
     mag = cmath.sqrt(n)
     try:
@@ -222,8 +221,8 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
             "magnitude of the polar form is not a finite float") from None
     v2 = q.c2 * q.c2 + q.c3 * q.c3 + q.c4 * q.c4
     s = cmath.sqrt(v2)
-    if abs(s) <= tol:
-        if max(abs(q.c2), abs(q.c3), abs(q.c4)) > tol:
+    if abs(s) <= DEFAULT_TOL:
+        if max(abs(q.c2), abs(q.c3), abs(q.c4)) > DEFAULT_TOL:
             raise ValueError("no polar form: null vector part")
         # Pure scalar: cos z = c1/mag is +-1 and the axis is conventional.
         z = -1j * cmath.log(q.c1 / mag)
@@ -234,6 +233,6 @@ def polar_c(q: BiQuat, tol: float = DEFAULT_TOL) -> PolarFormC:
     return PolarFormC(scaled_mag, axis, z, False)
 
 
-def is_central(q: BiQuat, tol: float = DEFAULT_TOL) -> bool:
+def is_central(q: BiQuat) -> bool:
     """True when q commutes with everything (vector part vanishes)."""
-    return abs(q.c2) <= tol and abs(q.c3) <= tol and abs(q.c4) <= tol
+    return all(abs(c) <= DEFAULT_TOL for c in q[1:])

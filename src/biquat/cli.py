@@ -135,16 +135,14 @@ def _require_real(q: BiQuat, message: str) -> Quat:
 
 
 def _fmt_float(x: float) -> str:
-    # repr round-trips exactly; integral values lose the trailing ".0".
-    if x == 0.0:
-        return "0"
-    if x.is_integer() and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+    # repr round-trips exactly; _json_num's rule drops an integral ".0".
+    return repr(_json_num(x))
 
 
 def _json_num(x: float):
-    return int(x) if x == int(x) and abs(x) < 1e16 else x
+    # The one integral-number rule of both styles: an integral float below
+    # 1e16 is written as an int, a zero of either sign as 0.
+    return int(x) if x.is_integer() and abs(x) < 1e16 else x
 
 
 def format_complex(c: complex) -> str:
@@ -158,7 +156,11 @@ def format_complex(c: complex) -> str:
 
 
 def format_biquat(q: BiQuat, style: str = "plain") -> str:
-    """Render a biquaternion; the plain style parses back bit-exactly."""
+    """Render a biquaternion; the plain style parses back bit-exactly.
+    ValueError for a non-finite part, which no style could parse back."""
+    for k, c in enumerate(q, 1):
+        if not cmath.isfinite(c):
+            raise ValueError(f"non-finite part c{k} = {complex(c)}")
     if style == "plain":
         return ", ".join(format_complex(c) for c in q)
     if style == "json":

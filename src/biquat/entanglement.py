@@ -132,11 +132,11 @@ def place_pair(positions: tuple[int, int], a, b, zero) -> list:
     return c
 
 
-def embed_state(state: StateAmp, tol: float = DEFAULT_TOL) -> BiQuat:
+def embed_state(state: StateAmp) -> BiQuat:
     """Place (alpha, beta) on the variant's basis pair."""
     q = BiQuat(*place_pair(state.variant.positions, complex(state.alpha),
                            complex(state.beta), 0j))
-    require_unit_norm(norm_h(q), tol, "state amplitudes are not normalized")
+    require_unit_norm(norm_h(q), "state amplitudes are not normalized")
     return q
 
 
@@ -149,13 +149,13 @@ def _sandwich(p: Quat, q: BiQuat) -> BiQuat:
     return bmul(bmul(pb, q), pb)
 
 
-def concurrence(q: BiQuat, tol: float = DEFAULT_TOL) -> float:
+def concurrence(q: BiQuat) -> float:
     """C = 2|c1*c4 - c2*c3| for a unit-norm state.
 
     Unnormalized input raises; run it through
     ``biquaternion.normalized`` first when that is intended.
     """
-    require_unit_norm(norm_h(q), tol, "state must be normalized")
+    require_unit_norm(norm_h(q), "state must be normalized")
     return _concurrence(q)
 
 
@@ -163,25 +163,25 @@ def support(q: BiQuat, tol: float = DEFAULT_TOL) -> frozenset[int]:
     """1-based indices of the coefficients with magnitude above tol.
 
     The rule is absolute: a coefficient with |c| <= tol is outside the
-    support, whatever the size of the others.
+    support, whatever the size of the others.  The gate uses DEFAULT_TOL.
     """
     return frozenset(k for k, c in enumerate(q, 1) if abs(c) > tol)
 
 
-def check_restrictions(p: Quat, q: BiQuat,
-                       tol: float = DEFAULT_TOL) -> RestrictionReport:
+def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
     """Evaluate R1-R3 for the rotor p against the state q.
 
-    Supports follow ``support``'s absolute rule: an amplitude with
-    |c| <= tol counts as zero, which can switch the R3 verdict.
+    Every test is absolute at DEFAULT_TOL: the unit norms, R1's rotor
+    concurrence and ``support``, so an amplitude with |c| <= DEFAULT_TOL
+    counts as zero, which can switch the R3 verdict.
     """
-    require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
-    require_unit_norm(norm_h(q), tol, "state must be normalized")
+    require_unit_norm(norm(p), "rotor must be a unit quaternion")
+    require_unit_norm(norm_h(q), "state must be normalized")
     c_p = _concurrence(p)
-    ps = support(p, tol)
-    qs = support(q, tol)
+    ps = support(p)
+    qs = support(q)
 
-    r1 = c_p <= tol
+    r1 = c_p <= DEFAULT_TOL
     r2 = len(ps) >= 2
     r3 = len(ps & qs) == 1 and ps in ADMISSIBLE_P_SUPPORTS
 
@@ -203,18 +203,18 @@ def check_restrictions(p: Quat, q: BiQuat,
     return RestrictionReport(r1, r2, r3, ps, qs, c_p, detail)
 
 
-def entangle_map(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
+def entangle_map(p: Quat, q: BiQuat) -> BiQuat:
     """The raw sandwich q -> p q p for a real unit quaternion p.
 
     Norm-preserving for any such p.  Only p's norm is checked: q is taken
     as given and R1-R3 are left to ``entangle``.
     """
-    require_unit_norm(norm(p), tol, "rotor must be a unit quaternion")
+    require_unit_norm(norm(p), "rotor must be a unit quaternion")
     return _sandwich(p, q)
 
 
-def entangle(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> EntangleOutcome:
-    """Checked entangling map.
+def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
+    """Checked entangling map, gated at DEFAULT_TOL.
 
     p and q are checked once, by ``check_restrictions``; the map and both
     concurrences then run unchecked.  Raises RestrictionError (report
@@ -222,7 +222,7 @@ def entangle(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> EntangleOutcome:
     not rejected - the map is still well defined - but the outcome's
     report notes the degeneracy since no entanglement can result.
     """
-    report = check_restrictions(p, q, tol)
+    report = check_restrictions(p, q)
     if not report.passed:
         raise RestrictionError(report)
     if len(report.q_support) < 2:
@@ -234,15 +234,14 @@ def entangle(p: Quat, q: BiQuat, tol: float = DEFAULT_TOL) -> EntangleOutcome:
                            report)
 
 
-def predicted_concurrence(p: Quat, q: BiQuat,
-                          tol: float = DEFAULT_TOL) -> float:
+def predicted_concurrence(p: Quat, q: BiQuat) -> float:
     """Closed-form concurrence 4|alpha beta a_i a_j| of the checked map.
 
     alpha, beta are q's nonzero coefficients and a_i, a_j the rotor's.
     Matches concurrence(entangle_map(p, q)) on variant-embedded states;
     rejects p exactly like ``entangle``.
     """
-    report = check_restrictions(p, q, tol)
+    report = check_restrictions(p, q)
     if not report.passed:
         raise RestrictionError(report)
     if len(report.q_support) < 2:

@@ -33,17 +33,17 @@ __all__ = [
     "from_polar",
 ]
 
-# Absolute tolerance for geometric predicates; every predicate takes an
-# override so callers working at other scales are not stuck with it.
+# The one absolute tolerance of every predicate and guard.  Only support,
+# polar and is_real take an override: a caller sets each of them.
 DEFAULT_TOL = 1e-9
 
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
 
 
-def require_unit_norm(n: complex, tol: float, message: str) -> None:
-    """Raise ValueError(message) unless n is within tol of 1; NaN fails."""
-    if not abs(n - 1.0) <= tol:
+def require_unit_norm(n: complex, message: str) -> None:
+    """Raise ValueError(message) unless |n - 1| <= DEFAULT_TOL; NaN fails."""
+    if not abs(n - 1.0) <= DEFAULT_TOL:
         raise ValueError(message)
 
 
@@ -189,15 +189,15 @@ def inner(p: Quat, q: Quat) -> float:
     return p.c1 * q.c1 + p.c2 * q.c2 + p.c3 * q.c3 + p.c4 * q.c4
 
 
-def is_perpendicular(p: Quat, q: Quat, tol: float = DEFAULT_TOL) -> bool:
+def is_perpendicular(p: Quat, q: Quat) -> bool:
     """True when the scalar part of p conj(q) vanishes."""
-    return abs(inner(p, q)) <= tol
+    return abs(inner(p, q)) <= DEFAULT_TOL
 
 
-def is_parallel(p: Quat, q: Quat, tol: float = DEFAULT_TOL) -> bool:
+def is_parallel(p: Quat, q: Quat) -> bool:
     """True when the vector part of p conj(q) vanishes."""
     r = mul(p, conj(q))
-    return abs(r.c2) <= tol and abs(r.c3) <= tol and abs(r.c4) <= tol
+    return all(abs(c) <= DEFAULT_TOL for c in r[1:])
 
 
 def angle_between(p: Quat, q: Quat) -> float:
@@ -241,11 +241,14 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
                      math.atan2(vlen, q.c1), False)
 
 
-def from_polar(form: PolarForm, tol: float = DEFAULT_TOL) -> Quat:
-    """Rebuild the quaternion described by a PolarForm."""
+def from_polar(form: PolarForm) -> Quat:
+    """Rebuild the quaternion described by a PolarForm.  ValueError for
+    a non-unit axis or a non-finite magnitude or angle."""
     x, y, z = form.axis
-    require_unit_norm(math.sqrt(x * x + y * y + z * z), tol,
+    require_unit_norm(math.sqrt(x * x + y * y + z * z),
                       "axis must be a unit vector")
+    if not (math.isfinite(form.magnitude) and math.isfinite(form.angle)):
+        raise ValueError("magnitude and angle must be finite")
     c = form.magnitude * math.cos(form.angle)
     s = form.magnitude * math.sin(form.angle)
     return Quat(c, s * x, s * y, s * z)

@@ -38,21 +38,20 @@ class Triad(NamedTuple):
     what: Quat
 
 
-def _require_unit(q: Quat, tol: float) -> None:
-    require_unit_norm(rq.norm(q), tol,
-                      "rotation quaternion must have unit norm")
+def _require_unit(q: Quat) -> None:
+    require_unit_norm(rq.norm(q), "rotation quaternion must have unit norm")
 
 
-def make_triad(qhat: Quat, tol: float = DEFAULT_TOL) -> Triad:
+def make_triad(qhat: Quat) -> Triad:
     """Complete a pure unit quaternion to a right-handed triad.
 
     The second leg is deterministic: take the coordinate axis least
     aligned with qhat (lowest index on ties), project out the qhat
     component and normalize; the third leg is the product qhat*vhat.
     """
-    if abs(qhat.c1) > tol:
+    if abs(qhat.c1) > DEFAULT_TOL:
         raise ValueError("triad axis must be a pure quaternion")
-    _require_unit(qhat, tol)
+    _require_unit(qhat)
     v = (qhat.c2, qhat.c3, qhat.c4)
     k = min(range(3), key=lambda i: abs(v[i]))
     e = [0.0, 0.0, 0.0]
@@ -64,13 +63,13 @@ def make_triad(qhat: Quat, tol: float = DEFAULT_TOL) -> Triad:
     return Triad(qhat, vhat, rq.mul(qhat, vhat))
 
 
-def rotate_onesided(q: Quat, x: Quat, side: str, tol: float = DEFAULT_TOL) -> Quat:
+def rotate_onesided(q: Quat, x: Quat, side: str) -> Quat:
     """Multiply by a unit quaternion on one side ("left" -> qx, "right" -> xq).
 
     Either map turns x toward qhat*x (resp. x*qhat) through the angle of
     q while preserving norms.
     """
-    _require_unit(q, tol)
+    _require_unit(q)
     if side == "left":
         return rq.mul(q, x)
     if side == "right":
@@ -78,61 +77,59 @@ def rotate_onesided(q: Quat, x: Quat, side: str, tol: float = DEFAULT_TOL) -> Qu
     raise ValueError(f"side must be 'left' or 'right', not {side!r}")
 
 
-def conjugate_rotation(q: Quat, x: Quat, tol: float = DEFAULT_TOL) -> Quat:
+def conjugate_rotation(q: Quat, x: Quat) -> Quat:
     """Sandwich map q x q^-1 for unit q.
 
     Fixes scalars and the qhat axis, rotates the plane perpendicular to
     qhat through twice the angle of q.
     """
-    _require_unit(q, tol)
+    _require_unit(q)
     return rq.mul(rq.mul(q, x), rq.conj(q))
 
 
-def rotate_vec3(q: Quat, v, tol: float = DEFAULT_TOL) -> tuple[float, float, float]:
+def rotate_vec3(q: Quat, v) -> tuple[float, float, float]:
     """conjugate_rotation applied to a plain 3-vector."""
-    r = conjugate_rotation(q, rq.from_vector(v), tol)
+    r = conjugate_rotation(q, rq.from_vector(v))
     return (r.c2, r.c3, r.c4)
 
 
-def rotate_biquat(q: BiQuat, w: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
+def rotate_biquat(q: BiQuat, w: BiQuat) -> BiQuat:
     """Sandwich map q w conj_quaternion(q) for a real unit q.
 
     The real-quaternion rotation acting coefficientwise on a
     biquaternion: the vector part of w turns about the axis of q through
     twice its angle, the scalar part is fixed.
     """
-    if not is_real(q, tol):
+    if not is_real(q):
         raise ValueError("rotation biquaternion must have real coefficients")
-    require_unit_norm(norm_h(q), tol,
-                      "rotation biquaternion must have unit norm")
+    require_unit_norm(norm_h(q), "rotation biquaternion must have unit norm")
     return bmul(bmul(q, w), conjugate(q, "quaternion"))
 
 
-def _require_quaternionic_unit(q: BiQuat, tol: float) -> None:
+def _require_quaternionic_unit(q: BiQuat) -> None:
     # inner_q(q, q) is the scalar part of q * conj_quaternion(q), bit for
     # bit; the vector part cancels exactly in floats.
-    require_unit_norm(
-        inner_q(q, q), tol,
-        "map requires q * conj_quaternion(q) = 1 (quaternionic unit)")
+    require_unit_norm(inner_q(q, q), "map requires q * conj_quaternion(q) "
+                      "= 1 (quaternionic unit)")
 
 
-def lorentz_map(q: BiQuat, x: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
+def lorentz_map(q: BiQuat, x: BiQuat) -> BiQuat:
     """q^dagger x q for quaternionic-unit q.
 
     Preserves the complex invariant inner_q(x, x); boost-like q (with
     conj_quaternion(q) = conj_complex(q)) realize hyperbolic rotations of
     the scalar against the i*vector components.
     """
-    _require_quaternionic_unit(q, tol)
+    _require_quaternionic_unit(q)
     return bmul(bmul(conjugate(q, "hermitian"), x), q)
 
 
-def complex_rotation(q: BiQuat, x: BiQuat, tol: float = DEFAULT_TOL) -> BiQuat:
+def complex_rotation(q: BiQuat, x: BiQuat) -> BiQuat:
     """conj_quaternion(q) x q for quaternionic-unit q.
 
     Rotation of the vector part of x about the axis of q through twice
     its (complex) polar angle; reduces to the inverse sandwich map on
     real inputs.
     """
-    _require_quaternionic_unit(q, tol)
+    _require_quaternionic_unit(q)
     return bmul(bmul(conjugate(q, "quaternion"), x), q)

@@ -143,6 +143,30 @@ def test_format_identity_json_example():
         '{"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}')
 
 
+@pytest.mark.parametrize("style", ["plain", "json", "unicode"])
+@pytest.mark.parametrize("q,part", [
+    (BiQuat(math.inf, 0, 0, 0), "c1"),
+    (BiQuat(0, complex(0, -math.inf), 0, 0), "c2"),
+    (BiQuat(0, 0, math.nan, 0), "c3"),
+    (BiQuat(1, 0, 0, complex(1, math.nan)), "c4"),
+])
+def test_format_biquat_refuses_a_non_finite_part(q, part, style):
+    # No style could parse such a part back.
+    with pytest.raises(ValueError, match=f"non-finite part {part} = "):
+        format_biquat(q, style)
+
+
+def test_plain_and_json_share_the_integral_number_rule():
+    for q in (BiQuat(0.0, -0.0, 2.0, -3.0),
+              BiQuat(0.5, 1e15, 9999999999999998.0, 1e16),
+              BiQuat(-1e16, 5e-324, 1.7976931348623157e308, 0.0)):
+        plain = format_biquat(q).split(", ")
+        assert plain == [json.dumps(x)
+                         for x in json.loads(format_biquat(q, "json"))["re"]]
+    assert format_biquat(BiQuat(1e15, -0.0, 1e16, 0.5)) == (
+        "1000000000000000, 0, 1e+16, 0.5")
+
+
 def test_golden_plain_rendering():
     q = BiQuat(0, -1j * INV_SQRT2, 1j * INV_SQRT2, 0)
     assert format_biquat(q) == ("0, -0.7071067811865476i, "

@@ -388,6 +388,21 @@ def test_from_polar_rejects_bad_axis():
         from_polar(PolarForm(1.0, (1, 1, 0), 0.5))
 
 
+@pytest.mark.parametrize("magnitude,angle", [
+    (math.inf, 0.0), (-math.inf, 0.5), (math.nan, 0.5),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+])
+def test_from_polar_refuses_a_non_finite_magnitude_or_angle(magnitude, angle):
+    with pytest.raises(ValueError, match="magnitude and angle must be finite"):
+        from_polar(PolarForm(magnitude, (0.0, 0.0, 1.0), angle))
+
+
+def test_from_polar_keeps_finite_extremes():
+    assert from_polar(PolarForm(1.7976931348623157e308, (0, 0, 1), 0.0)) == (
+        Quat(1.7976931348623157e308, 0.0, 0.0, 0.0))
+    assert from_polar(PolarForm(5e-324, (1, 0, 0), math.pi / 2)).c2 == 5e-324
+
+
 def test_polar_roundtrip():
     rng = random.Random(49)
     for _ in range(500):
