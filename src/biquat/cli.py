@@ -146,7 +146,11 @@ def _json_num(x: float):
 
 
 def format_complex(c: complex) -> str:
+    """Render one complex number as ``parse_biquat`` reads it back.
+    ValueError for a non-finite real or imaginary part."""
     c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite complex number {c}")
     if c.imag == 0.0:
         return _fmt_float(c.real)
     if c.real == 0.0:

@@ -22,10 +22,11 @@ checked map end to end and refuses (carrying the report) when one fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .biquaternion import BiQuat, bmul, from_quat, json_form, norm_h
+from .biquaternion import BiQuat, bmul, json_form, norm_h
 from .quaternion import DEFAULT_TOL, Quat, norm, require_unit_norm
 
 __all__ = [
@@ -67,8 +68,7 @@ class StateAmp:
     variant: Variant
 
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     r1_pass: bool
     r2_pass: bool
     r3_pass: bool
@@ -94,8 +94,7 @@ class RestrictionReport:
         }
 
 
-@dataclass(frozen=True)
-class EntangleOutcome:
+class EntangleOutcome(NamedTuple):
     result: BiQuat
     concurrence_before: float
     concurrence_after: float
@@ -123,6 +122,14 @@ ADMISSIBLE_P_SUPPORTS = frozenset({
     frozenset({2, 4}), frozenset({3, 4}),
 })
 
+# The gate works on supports as 4-bit masks, bit k-1 for direction k:
+# _SUPPORTS[mask] is the public frozenset, _POPCOUNT[mask] its size.
+_SUPPORTS = tuple(frozenset(k for k in range(1, 5) if m >> (k - 1) & 1)
+                  for m in range(16))
+_POPCOUNT = tuple(len(s) for s in _SUPPORTS)
+_ADMISSIBLE_MASKS = frozenset(_SUPPORTS.index(s)
+                              for s in ADMISSIBLE_P_SUPPORTS)
+
 
 def place_pair(positions: tuple[int, int], a, b, zero) -> list:
     """Four coefficients: a and b at the 1-based positions, zero elsewhere."""
@@ -145,8 +152,10 @@ def _concurrence(q: BiQuat) -> float:
 
 
 def _sandwich(p: Quat, q: BiQuat) -> BiQuat:
-    pb = from_quat(p)
-    return bmul(bmul(pb, q), pb)
+    # p goes in as it is: on CPython 3.10-3.13 a float times a complex
+    # promotes the float to complex(x, 0.0), so for a q with complex parts
+    # this equals the product with from_quat(p), bit for bit.
+    return bmul(bmul(p, q), p)
 
 
 def concurrence(q: BiQuat) -> float:
@@ -165,7 +174,14 @@ def support(q: BiQuat, tol: float = DEFAULT_TOL) -> frozenset[int]:
     The rule is absolute: a coefficient with |c| <= tol is outside the
     support, whatever the size of the others.  The gate uses DEFAULT_TOL.
     """
-    return frozenset(k for k, c in enumerate(q, 1) if abs(c) > tol)
+    return _SUPPORTS[_mask(q, tol)]
+
+
+def _mask(q, tol: float) -> int:
+    # The support rule as a 4-bit mask, bit k-1 set when |c_k| > tol.
+    c1, c2, c3, c4 = q
+    return ((abs(c1) > tol) | (abs(c2) > tol) << 1
+            | (abs(c3) > tol) << 2 | (abs(c4) > tol) << 3)
 
 
 def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
@@ -178,12 +194,14 @@ def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
     require_unit_norm(norm(p), "rotor must be a unit quaternion")
     require_unit_norm(norm_h(q), "state must be normalized")
     c_p = _concurrence(p)
-    ps = support(p)
-    qs = support(q)
+    pm = _mask(p, DEFAULT_TOL)
+    qm = _mask(q, DEFAULT_TOL)
+    ps, qs = _SUPPORTS[pm], _SUPPORTS[qm]
+    shared = _POPCOUNT[pm & qm]
 
     r1 = c_p <= DEFAULT_TOL
-    r2 = len(ps) >= 2
-    r3 = len(ps & qs) == 1 and ps in ADMISSIBLE_P_SUPPORTS
+    r2 = _POPCOUNT[pm] >= 2
+    r3 = shared == 1 and pm in _ADMISSIBLE_MASKS
 
     notes = []
     if not r1:
@@ -191,7 +209,6 @@ def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
     if not r2:
         notes.append("R2: rotor is a single basis direction")
     if not r3:
-        shared = len(ps & qs)
         if shared != 1:
             notes.append(f"R3: rotor support {sorted(ps)} shares "
                          f"{shared} directions with state support "
@@ -226,9 +243,9 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     if not report.passed:
         raise RestrictionError(report)
     if len(report.q_support) < 2:
-        report = replace(
-            report, detail="degenerate amplitudes: a state coefficient is "
-                           "zero, concurrence stays 0")
+        report = report._replace(
+            detail="degenerate amplitudes: a state coefficient is "
+                   "zero, concurrence stays 0")
     result = _sandwich(p, q)
     return EntangleOutcome(result, _concurrence(q), _concurrence(result),
                            report)

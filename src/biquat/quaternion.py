@@ -243,12 +243,18 @@ def polar(q: Quat, tol: float = DEFAULT_TOL) -> PolarForm:
 
 def from_polar(form: PolarForm) -> Quat:
     """Rebuild the quaternion described by a PolarForm.  ValueError for
-    a non-unit axis or a non-finite magnitude or angle."""
+    a non-unit axis, a non-finite or negative magnitude, a non-finite
+    angle, or a part that overflows."""
     x, y, z = form.axis
     require_unit_norm(math.sqrt(x * x + y * y + z * z),
                       "axis must be a unit vector")
     if not (math.isfinite(form.magnitude) and math.isfinite(form.angle)):
         raise ValueError("magnitude and angle must be finite")
+    if form.magnitude < 0.0:
+        raise ValueError("magnitude must not be negative")
     c = form.magnitude * math.cos(form.angle)
     s = form.magnitude * math.sin(form.angle)
-    return Quat(c, s * x, s * y, s * z)
+    q = Quat(c, s * x, s * y, s * z)
+    if not all(map(math.isfinite, q)):
+        raise ValueError("polar form overflows the float range")
+    return q

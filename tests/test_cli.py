@@ -127,6 +127,22 @@ def test_format_complex_rules():
     assert format_complex(0.5) == "0.5"
 
 
+@pytest.mark.parametrize("c", [
+    complex(math.inf, 1), complex(1, math.inf), complex(0, -math.inf),
+    complex(math.nan, 0), complex(0, math.nan), complex(math.nan, math.nan),
+    math.inf, -math.inf, math.nan,
+])
+def test_format_complex_refuses_a_non_finite_part(c):
+    # "inf+1i" or "nani" would not parse back.
+    with pytest.raises(ValueError, match="non-finite"):
+        format_complex(c)
+
+
+def test_format_complex_keeps_finite_extremes():
+    for c in (complex(1.7976931348623157e308, -5e-324), complex(0, 5e-324)):
+        assert parse_biquat(f"{format_complex(c)}, 0, 0, 0").c1 == c
+
+
 def test_format_biquat_styles():
     q = BiQuat(1, -0.5j, 0, 0.25 + 0.25j)
     assert format_biquat(q) == "1, -0.5i, 0, 0.25+0.25i"
@@ -247,6 +263,55 @@ def test_entangle_command_rejection():
     assert code == 2
     assert out.startswith("rejected: ")
     assert "R3: FAIL" in out
+
+
+_README_ENTANGLE = ["entangle",
+                    "--p", "0.7071067811865476, 0, 0.7071067811865476, 0",
+                    "--q", "0.7071067811865476i, -0.7071067811865476i, 0, 0"]
+_README_CHECK = ["check", "--p", "0, 1, 0, 0", "--q", "1, 0, 0, 0"]
+
+
+@pytest.mark.parametrize("argv,code,want", [
+    (_README_ENTANGLE, 0,
+     "result: 0, -0.7071067811865477i, 0.7071067811865477i, 0\n"
+     "concurrence before: 0\n"
+     "concurrence after: 1.0000000000000004\n"
+     "R1: pass\nR2: pass\nR3: pass\n"
+     "rotor support: [1, 3]   state support: [1, 2]\n"
+     "rotor concurrence: 0\n"
+     "detail: ok\n"),
+    (_README_CHECK, 2,
+     "R1: pass\nR2: FAIL\nR3: FAIL\n"
+     "rotor support: [2]   state support: [1]\n"
+     "rotor concurrence: 0\n"
+     "detail: R2: rotor is a single basis direction; R3: rotor support "
+     "[2] shares 0 directions with state support [1], need exactly 1\n"),
+])
+def test_readme_gate_examples_print_exactly(argv, code, want):
+    assert run_cli(argv) == (code, want, "")
+
+
+def test_readme_gate_examples_json_exactly():
+    code, out, err = run_cli(["--json"] + _README_ENTANGLE)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({
+        "result": {"re": [0.0, 0.0, 0.0, 0.0],
+                   "im": [0.0, -0.7071067811865477, 0.7071067811865477,
+                          0.0]},
+        "concurrence_before": 0.0,
+        "concurrence_after": 1.0000000000000004,
+        "report": {"r1_pass": True, "r2_pass": True, "r3_pass": True,
+                   "passed": True, "p_support": [1, 3], "q_support": [1, 2],
+                   "concurrence_p": 0.0, "detail": "ok"}}, indent=2) + "\n"
+    code, out, err = run_cli(["--json"] + _README_CHECK)
+    assert (code, err) == (2, "")
+    assert out == json.dumps({
+        "r1_pass": True, "r2_pass": False, "r3_pass": False,
+        "passed": False, "p_support": [2], "q_support": [1],
+        "concurrence_p": 0.0,
+        "detail": "R2: rotor is a single basis direction; R3: rotor support "
+                  "[2] shares 0 directions with state support [1], need "
+                  "exactly 1"}, indent=2) + "\n"
 
 
 def test_concurrence_command():

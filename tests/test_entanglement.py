@@ -1,20 +1,23 @@
 """State embedding, restrictions, the sandwich map and its concurrence law."""
 
 import cmath
+import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from biquat.biquaternion import BiQuat, norm_h
+from biquat.biquaternion import BiQuat, bmul, from_quat, norm_h
 from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, RestrictionError,
-                                 StateAmp, Variant, check_restrictions,
-                                 concurrence, embed_state, entangle,
-                                 entangle_map, predicted_concurrence, support)
-from biquat.quaternion import DEFAULT_TOL, Quat
+                                 StateAmp, Variant, _sandwich,
+                                 check_restrictions, concurrence,
+                                 embed_state, entangle, entangle_map,
+                                 predicted_concurrence, support)
+from biquat.quaternion import DEFAULT_TOL, Quat, norm, require_unit_norm
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 I_SQRT2 = 1j * INV_SQRT2
@@ -93,6 +96,179 @@ def test_r3_verdict_switches_at_the_absolute_tol(small, r3):
         assert "shares 2 directions" in report.detail
         with pytest.raises(RestrictionError):
             entangle(p, q)
+
+
+def test_support_matches_the_frozenset_rule():
+    edge = DEFAULT_TOL
+    above = math.nextafter(edge, 1.0)
+    values = (0.0, -0.0, edge, -above, 1.0, 5e-324, math.nan, math.inf,
+              complex(0.0, edge), complex(above, 0.0), complex(math.nan, 0.0),
+              complex(0.0, -math.nan))
+    for parts in itertools.product(values, repeat=4):
+        q = BiQuat(*parts)
+        for tol in (0.0, DEFAULT_TOL):
+            assert support(q, tol) == frozenset(
+                k for k, c in enumerate(q, 1) if abs(c) > tol)
+
+
+# --- the gate against a frozenset reference --------------------------------
+
+def _reference_gate(p: Quat, q: BiQuat) -> tuple:
+    """R1-R3 with supports as frozensets, the gate's original form."""
+    require_unit_norm(norm(p), "rotor must be a unit quaternion")
+    require_unit_norm(norm_h(q), "state must be normalized")
+    c_p = 2.0 * abs(p.c1 * p.c4 - p.c2 * p.c3)
+    ps = frozenset(k for k, c in enumerate(p, 1) if abs(c) > DEFAULT_TOL)
+    qs = frozenset(k for k, c in enumerate(q, 1) if abs(c) > DEFAULT_TOL)
+    r1 = c_p <= DEFAULT_TOL
+    r2 = len(ps) >= 2
+    r3 = len(ps & qs) == 1 and ps in ADMISSIBLE_P_SUPPORTS
+    notes = []
+    if not r1:
+        notes.append(f"R1: rotor is entangled (concurrence {c_p:.3g})")
+    if not r2:
+        notes.append("R2: rotor is a single basis direction")
+    if not r3:
+        shared = len(ps & qs)
+        if shared != 1:
+            notes.append(f"R3: rotor support {sorted(ps)} shares "
+                         f"{shared} directions with state support "
+                         f"{sorted(qs)}, need exactly 1")
+        else:
+            notes.append(f"R3: rotor support {sorted(ps)} is not one of "
+                         "the admissible pairs (1,2) (1,3) (2,4) (3,4)")
+    return r1, r2, r3, ps, qs, c_p, "; ".join(notes) if notes else "ok"
+
+
+# Off-support coefficients: zero, exactly at the tolerance (outside the
+# support) and one float above it (inside).
+_OFF = (0.0, DEFAULT_TOL, math.nextafter(DEFAULT_TOL, 1.0))
+
+
+def _unit_on(mask: int, off: float, phases) -> list:
+    """Equal amplitudes on the mask's directions, ``off`` elsewhere, with
+    unit norm; mask 0 leaves only the off values, which is not unit."""
+    on = [k for k in range(4) if mask >> k & 1]
+    big = math.sqrt((1.0 - (4 - len(on)) * off * off) / len(on)) if on else 0
+    return [big * phases[k] if k in on else off * phases[k]
+            for k in range(4)]
+
+
+def _outcome(fn, p, q):
+    try:
+        return "accepted", fn(p, q)
+    except RestrictionError as e:
+        return "rejected", str(e), e.report
+    except ValueError as e:
+        return "refused", str(e)
+
+
+def test_gate_equals_the_frozenset_reference_on_every_mask():
+    rotor_signs = (1.0, -1.0, 1.0, -1.0)
+    state_phases = (1j, -1.0, -1j, 1.0)
+    verdicts, degenerate = set(), 0
+    for pm, p_off, qm, q_off in itertools.product(range(16), _OFF,
+                                                  range(16), _OFF):
+        p = Quat(*_unit_on(pm, p_off, rotor_signs))
+        q = BiQuat(*_unit_on(qm, q_off, state_phases))
+        try:
+            want = _reference_gate(p, q)
+        except ValueError as e:
+            assert _outcome(check_restrictions, p, q) == ("refused", str(e))
+            assert _outcome(entangle, p, q) == ("refused", str(e))
+            continue
+        report = check_restrictions(p, q)
+        assert tuple(report) == want
+        verdicts.add(want[:3])
+        got = _outcome(entangle, p, q)
+        if not report.passed:
+            assert got == ("rejected", f"rotor rejected: {want[-1]}", report)
+            continue
+        outcome = got[1]
+        if len(want[4]) < 2:
+            degenerate += 1
+            assert outcome.report == report._replace(
+                detail="degenerate amplitudes: a state coefficient is "
+                       "zero, concurrence stays 0")
+        else:
+            assert outcome.report == report
+        result = _sandwich(p, q)
+        assert outcome == (result, concurrence(q), 2.0 * abs(
+            result.c1 * result.c4 - result.c2 * result.c3), outcome.report)
+    # The sweep reaches acceptance, the degenerate note and each failing
+    # restriction.
+    assert verdicts == {(True, True, True), (True, True, False),
+                        (True, False, False), (False, True, False),
+                        (False, False, False)}
+    assert degenerate
+
+
+# --- reports and outcomes are immutable values ----------------------------
+
+_README_S = 0.7071067811865476  # the README's entangle example
+
+
+def _golden_outcome():
+    return entangle(Quat(_README_S, 0, _README_S, 0),
+                    BiQuat(_README_S * 1j, -_README_S * 1j, 0, 0))
+
+
+def test_report_and_outcome_refuse_assignment():
+    outcome = _golden_outcome()
+    with pytest.raises(AttributeError):
+        outcome.report.detail = "changed"
+    with pytest.raises(AttributeError):
+        outcome.concurrence_after = 0.0
+    with pytest.raises(AttributeError):
+        outcome.report.extra = 1
+    assert outcome.report.detail == "ok"
+
+
+def test_report_and_outcome_to_dict():
+    outcome = _golden_outcome()
+    assert outcome.to_dict() == {
+        "result": {"re": [0.0, 0.0, 0.0, 0.0],
+                   "im": [0.0, -0.7071067811865477, 0.7071067811865477, 0.0]},
+        "concurrence_before": 0.0,
+        "concurrence_after": 1.0000000000000004,
+        "report": {"r1_pass": True, "r2_pass": True, "r3_pass": True,
+                   "passed": True, "p_support": [1, 3], "q_support": [1, 2],
+                   "concurrence_p": 0.0, "detail": "ok"}}
+    assert outcome.report == check_restrictions(
+        Quat(_README_S, 0, _README_S, 0),
+        BiQuat(_README_S * 1j, -_README_S * 1j, 0, 0))
+
+
+# --- the sandwich takes the real rotor as it is ------------------------------
+
+_EDGE_REALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               math.nextafter(DEFAULT_TOL, 1.0), 1.0, -0.5)
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 14), reason=(
+    "CPython 3.14 multiplies a float into a complex part by part, without "
+    "promoting it to complex(x, 0.0), which can change the sign of a zero"))
+def test_sandwich_is_bit_identical_to_the_embedded_rotor():
+    rng = random.Random(75)
+
+    def part():
+        if rng.random() < 0.4:
+            return rng.choice(_EDGE_REALS)
+        return rng.uniform(-1.0, 1.0)
+
+    for _ in range(3000):
+        p = Quat(*(part() for _ in range(4)))
+        q = BiQuat(*(complex(part(), part()) for _ in range(4)))
+        pb = from_quat(p)
+        assert repr(_sandwich(p, q)) == repr(bmul(bmul(pb, q), pb))
+    for variant, sup in CASES:
+        for _ in range(20):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            p = _rotor(sup, math.cos(t), math.sin(t))
+            q = embed_state(StateAmp(I_SQRT2 * cmath.exp(1j * t),
+                                     -INV_SQRT2, variant))
+            pb = from_quat(p)
+            assert repr(_sandwich(p, q)) == repr(bmul(bmul(pb, q), pb))
 
 
 # --- concurrence ---------------------------------------------------------

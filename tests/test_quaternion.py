@@ -403,6 +403,29 @@ def test_from_polar_keeps_finite_extremes():
     assert from_polar(PolarForm(5e-324, (1, 0, 0), math.pi / 2)).c2 == 5e-324
 
 
+@pytest.mark.parametrize("magnitude", [-2.0, -5e-324, -1.7976931348623157e308])
+def test_from_polar_refuses_a_negative_magnitude(magnitude):
+    with pytest.raises(ValueError, match="magnitude must not be negative"):
+        from_polar(PolarForm(magnitude, (1.0, 0.0, 0.0), 0.5))
+
+
+@pytest.mark.parametrize("axis,angle", [
+    ((1.0000000005, 0.0, 0.0), math.pi / 2),
+    ((0.0, 0.0, -1.0000000005), -math.pi / 2),
+    ((0.0, 1.0000000005, 0.0), math.pi / 2),
+])
+def test_from_polar_refuses_a_part_that_overflows(axis, angle):
+    # The axis lies within DEFAULT_TOL of unit length, so the guard lets
+    # it through; s times the axis part then exceeds the float maximum.
+    with pytest.raises(ValueError, match="overflows"):
+        from_polar(PolarForm(1.7976931348623157e308, axis, angle))
+
+
+def test_from_polar_keeps_a_zero_magnitude_of_either_sign():
+    assert from_polar(PolarForm(0.0, (1, 0, 0), 0.5)) == Quat(0, 0, 0, 0)
+    assert from_polar(PolarForm(-0.0, (1, 0, 0), 0.5)) == Quat(0, 0, 0, 0)
+
+
 def test_polar_roundtrip():
     rng = random.Random(49)
     for _ in range(500):
