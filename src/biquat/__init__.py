@@ -10,6 +10,14 @@ The package is organized as one module per layer:
     verify          the eight-case concurrence law and golden examples
     cli             the ``biquat`` command
 
+``import biquat`` loads the float route only: the first four layers.
+``exact`` and ``verify``, with ``fractions``, ``random`` and ``ast``
+behind them, load on first use: the first access to one of their names
+here (``biquat.oracle_mul``, ``biquat.verify``), or an explicit
+``import biquat.exact``.  The command line imports ``verify`` only in
+its two ``verify-*`` handlers, so every other command runs without the
+exact route.
+
 Everything here is pure Python on top of the standard library.
 """
 
@@ -28,12 +36,17 @@ from .entanglement import (EntangleOutcome, RestrictionError,
                            check_restrictions, concurrence, embed_state,
                            entangle, entangle_map, predicted_concurrence,
                            support)
-from .exact import (ExactBiQuat, ExactScalar, check_basis_associativity,
-                    exact_conj, oracle_mul)
-from .verify import (ENTANGLE_CASES, closed_form_product, verify_examples,
-                     verify_theorem)
 
 __version__ = "0.1.0"
+
+# Names loaded on first access, by the submodule that defines them.
+_LAZY = {
+    "ExactBiQuat": "exact", "ExactScalar": "exact",
+    "check_basis_associativity": "exact", "exact_conj": "exact",
+    "oracle_mul": "exact",
+    "ENTANGLE_CASES": "verify", "closed_form_product": "verify",
+    "verify_examples": "verify", "verify_theorem": "verify",
+}
 
 __all__ = [
     "DEFAULT_TOL", "ONE", "ZERO", "PolarForm", "Quat", "angle_between",
@@ -48,9 +61,23 @@ __all__ = [
     "EntangleOutcome", "RestrictionError", "RestrictionReport", "StateAmp",
     "Variant", "check_restrictions", "concurrence", "embed_state",
     "entangle", "entangle_map", "predicted_concurrence", "support",
-    "ExactBiQuat", "ExactScalar", "check_basis_associativity", "exact_conj",
-    "oracle_mul",
-    "ENTANGLE_CASES", "closed_form_product", "verify_examples",
-    "verify_theorem",
+    *_LAZY,
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not yet in this module's namespace.
+    # Importing a submodule binds it here, so "exact" and "verify" come
+    # through once; a lazy name is read from its module on every access,
+    # so it is always that module's current binding.
+    module = _LAZY.get(name, name)
+    if module not in _LAZY.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    mod = import_module(f"{__name__}.{module}")
+    return mod if name == module else getattr(mod, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY.values()})

@@ -23,13 +23,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import re
 import sys
 
-from . import verify as _verify
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
                            _concurrence, _sandwich, check_restrictions,
@@ -278,20 +276,24 @@ def _cmd_polar(ns) -> int:
 
 
 def _cmd_verify_theorem(ns) -> int:
-    report = _verify.verify_theorem(samples=ns.samples, seed=ns.seed)
+    from . import verify  # the exact route loads only to verify
+    report = verify.verify_theorem(samples=ns.samples, seed=ns.seed)
     print(json.dumps(report.to_dict(), indent=2) if ns.json
           else report.to_text())
     return 0 if report.all_pass else 3
 
 
 def _cmd_verify_examples(ns) -> int:
-    report = _verify.verify_examples()
+    from . import verify
+    report = verify.verify_examples()
     print(json.dumps(report.to_dict(), indent=2) if ns.json
           else report.to_text())
     return 0 if report.all_pass else 3
 
 
 def _cmd_sweep(ns) -> int:
+    import csv
+
     n = ns.grid
     if n < 1:
         raise ParseError("--grid must be at least 1")

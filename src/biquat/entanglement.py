@@ -22,7 +22,6 @@ checked map end to end and refuses (carrying the report) when one fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -59,8 +58,7 @@ class Variant(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class StateAmp:
+class StateAmp(NamedTuple):
     """Amplitudes of a product state and where to embed them."""
 
     alpha: complex

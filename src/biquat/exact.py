@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ExactScalar",
@@ -39,8 +39,7 @@ __all__ = [
 _Rational = (int, Fraction)
 
 
-@dataclass(frozen=True)
-class ExactScalar:
+class ExactScalar(NamedTuple):
     """Complex number with exact rational real and imaginary parts."""
 
     re: Fraction
@@ -59,6 +58,12 @@ class ExactScalar:
         if not isinstance(other, ExactScalar):
             return NotImplemented
         return ExactScalar(self.re - other.re, self.im - other.im)
+
+    def __radd__(self, other):
+        # Reached only when other's + declined: refuse here, or a tuple on
+        # the left would concatenate with this one.
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and 'ExactScalar'")
 
     def __neg__(self):
         return ExactScalar(-self.re, -self.im)

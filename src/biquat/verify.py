@@ -41,8 +41,8 @@ import ast
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
@@ -232,8 +232,7 @@ def _compiled(form: str, i: int, j: int):
     return fn
 
 
-@dataclass(frozen=True)
-class EntangleCase:
+class EntangleCase(NamedTuple):
     """One admissible pairing and its closed-form expansion."""
 
     case_id: int
@@ -319,8 +318,7 @@ def _identity_points() -> list:
     return pts
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: EntangleCase
     identity_pass: bool
     identity_points: int
@@ -358,8 +356,7 @@ class CaseResult:
         }
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     samples: int
     seed: int
     identity_points: int
@@ -475,8 +472,7 @@ _I = ExactScalar.of(0, 1)
 _MINUS_I = ExactScalar.of(0, -1)
 
 
-@dataclass(frozen=True)
-class _GoldenExample:
+class _GoldenExample(NamedTuple):
     example_id: int
     p_support: tuple[int, int]
     variant: Variant
@@ -507,8 +503,7 @@ GOLDEN_EXAMPLES: tuple[_GoldenExample, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ExampleResult:
+class ExampleResult(NamedTuple):
     example: _GoldenExample
     computed: ExactBiQuat   # scaled by 2*sqrt(2), exact
     exact_match: bool
@@ -546,8 +541,7 @@ class ExampleResult:
                                          or self.magnitude_match)
 
 
-@dataclass(frozen=True)
-class ExamplesReport:
+class ExamplesReport(NamedTuple):
     examples: tuple[ExampleResult, ...]
 
     @property

@@ -57,6 +57,19 @@ def test_embed_state_positions():
     assert q == BiQuat(0, 0.6, 0, 0.8j)
 
 
+def test_state_amp_is_an_immutable_value():
+    s = StateAmp(0.6, 0.8j, Variant.V24)
+    assert s == StateAmp(0.6, 0.8j, Variant.V24)
+    assert hash(s) == hash(StateAmp(0.6, 0.8j, Variant.V24))
+    assert s != StateAmp(0.8j, 0.6, Variant.V24)
+    assert repr(s) == ("StateAmp(alpha=0.6, beta=0.8j, "
+                       "variant=<Variant.V24: (2, 4)>)")
+    with pytest.raises(AttributeError):
+        s.alpha = 1.0
+    with pytest.raises(AttributeError):
+        s.extra = 1
+
+
 def test_embed_state_requires_normalization():
     with pytest.raises(ValueError, match="not normalized"):
         embed_state(StateAmp(1.0, 1.0, Variant.V12))

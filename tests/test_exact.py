@@ -64,6 +64,30 @@ def test_exact_scalar_arithmetic():
     assert b.to_complex() == 1 + 1j
 
 
+def test_exact_scalar_is_an_immutable_value():
+    s = ExactScalar.of(Fraction(1, 2), -3)
+    assert s == ExactScalar(Fraction(1, 2), Fraction(-3))
+    assert hash(s) == hash(ExactScalar.of(Fraction(2, 4), -3))
+    assert s != ExactScalar.of(Fraction(1, 2), 3)
+    assert repr(s) == "ExactScalar(re=Fraction(1, 2), im=Fraction(-3, 1))"
+    with pytest.raises(AttributeError):
+        s.re = Fraction(0)
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    assert 2 * s == s * 2 == ExactScalar.of(1, -6)
+    assert s * 3 == Fraction(3) * s == ExactScalar.of(Fraction(3, 2), -9)
+
+
+@pytest.mark.parametrize("expr", [
+    "s * 2.5", "2.5 * s", "s * 1j", "(1, 2) + s", "s + (1, 2)", "0 + s",
+    "s + 1", "s - (1, 2)", "(1, 2) * s",
+])
+def test_exact_scalar_refuses_other_operands(expr):
+    # A tuple on either side must not concatenate or repeat it.
+    with pytest.raises(TypeError):
+        eval(expr, {"s": ExactScalar.of(1, 2)})
+
+
 # --- exact biquaternion ------------------------------------------------------
 
 def test_exact_biquat_construction_and_parts():

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -91,7 +90,7 @@ def test_closed_form_invalid_case():
     "(abs(alpha), beta, a1, a3)",    # no builtins
 ])
 def test_closed_form_may_name_only_its_own_symbols(text):
-    case = replace(ENTANGLE_CASES[0], closed_form=text)
+    case = ENTANGLE_CASES[0]._replace(closed_form=text)
     with pytest.raises(NameError):
         case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
 
@@ -147,7 +146,7 @@ _TEXTS = [(case, case.closed_form) for case in ENTANGLE_CASES] + [
 def test_compiled_form_equals_the_reference_eval(case_text, r):
     case, text = case_text
     alpha, beta = ExactScalar(r[0], r[1]), ExactScalar(r[2], r[3])
-    got = replace(case, closed_form=text).evaluate(alpha, beta, (r[4], r[5]))
+    got = case._replace(closed_form=text).evaluate(alpha, beta, (r[4], r[5]))
     assert got == _reference_eval(text, case.p_support, alpha, beta,
                                   r[4], r[5])
 
@@ -166,7 +165,7 @@ def test_compiled_form_equals_the_reference_eval(case_text, r):
     (2, ENTANGLE_CASES[1].stated_form),  # the five-entry misprint
 ])
 def test_closed_form_rejects_unsupported_syntax(case_id, text):
-    case = replace(ENTANGLE_CASES[case_id - 1], closed_form=text)
+    case = ENTANGLE_CASES[case_id - 1]._replace(closed_form=text)
     with pytest.raises(ValueError):
         case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
 
@@ -233,7 +232,7 @@ def test_report_checks_the_closed_form_text_it_prints(monkeypatch):
     case = ENTANGLE_CASES[2]
     flipped = case.closed_form.replace("(-2*alpha*", "(2*alpha*", 1)
     assert flipped != case.closed_form
-    cases = (*ENTANGLE_CASES[:2], replace(case, closed_form=flipped),
+    cases = (*ENTANGLE_CASES[:2], case._replace(closed_form=flipped),
              *ENTANGLE_CASES[3:])
     monkeypatch.setattr(verify, "ENTANGLE_CASES", cases)
     report = verify_theorem(samples=5, seed=3)
