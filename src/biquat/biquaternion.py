@@ -52,7 +52,8 @@ class BiQuat(NamedTuple):
     c3: complex
     c4: complex
 
-    __add__, __sub__, __neg__ = Quat.__add__, Quat.__sub__, Quat.__neg__
+    __add__, __radd__ = Quat.__add__, Quat.__radd__
+    __sub__, __neg__ = Quat.__sub__, Quat.__neg__
 
     def __mul__(self, other):
         if isinstance(other, BiQuat):
@@ -125,10 +126,13 @@ def inner_q(p: BiQuat, q: BiQuat) -> complex:
 
 def norm_h(q: BiQuat) -> float:
     """Hermitian squared norm, the sum of |ck|^2.  Always real >= 0."""
-    return (q.c1.real * q.c1.real + q.c1.imag * q.c1.imag
-            + q.c2.real * q.c2.real + q.c2.imag * q.c2.imag
-            + q.c3.real * q.c3.real + q.c3.imag * q.c3.imag
-            + q.c4.real * q.c4.real + q.c4.imag * q.c4.imag)
+    c1, c2, c3, c4 = q
+    x1, y1 = c1.real, c1.imag
+    x2, y2 = c2.real, c2.imag
+    x3, y3 = c3.real, c3.imag
+    x4, y4 = c4.real, c4.imag
+    return (x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2
+            + x3 * x3 + y3 * y3 + x4 * x4 + y4 * y4)
 
 
 def _scaled(q: BiQuat, e: int) -> BiQuat:

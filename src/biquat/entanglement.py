@@ -149,11 +149,58 @@ def _concurrence(q: BiQuat) -> float:
     return 2.0 * abs(q.c1 * q.c4 - q.c2 * q.c3)
 
 
-def _sandwich(p: Quat, q: BiQuat) -> BiQuat:
-    # p goes in as it is: on CPython 3.10-3.13 a float times a complex
-    # promotes the float to complex(x, 0.0), so for a q with complex parts
-    # this equals the product with from_quat(p), bit for bit.
-    return bmul(bmul(p, q), p)
+class _Code(str):
+    """Python source of a value: +, - and * return the source of the
+    result, parenthesised, so the operations keep their order."""
+
+    def __add__(self, other):
+        return _Code(f"({self}+{other})")
+
+    def __sub__(self, other):
+        return _Code(f"({self}-{other})")
+
+    def __mul__(self, other):
+        return _Code(f"({self}*{other})")
+
+
+class _RotorCode(str):
+    """A rotor part as source; it is written as the right factor."""
+
+    def __mul__(self, other):
+        return _Code(f"({other}*{self})")
+
+
+def _generate_sandwich():
+    """Compile q -> p q p as straight-line code traced from ``bmul``.
+
+    Running ``bmul(bmul(p, q), p)`` on parts that render source gives its
+    sums in hamilton's order and sign table.  The first product writes
+    each rotor part as the right factor, ``q_k * p_k``: a product commutes
+    and the imaginary part of a complex product adds the same two terms,
+    so the parts are those of ``p_k * q_k`` bit for bit, without first
+    trying ``float.__mul__`` on a complex.  The function is executed with
+    this module's ``__name__``, so its ``__module__`` is
+    ``biquat.entanglement``.
+    """
+    p = Quat(*(_RotorCode(f"p{k}") for k in range(1, 5)))
+    q = BiQuat(*(_Code(f"q{k}") for k in range(1, 5)))
+    r = BiQuat(*(_Code(f"r{k}") for k in range(1, 5)))
+    lines = [
+        "def _sandwich(p, q):",
+        '    """p q p for a real rotor p, bit for bit bmul(bmul(p, q), p)."""',
+        "    p1, p2, p3, p4 = p",
+        "    q1, q2, q3, q4 = q",
+        *(f"    {name} = {text}" for name, text in zip(r, bmul(p, q))),
+        "    return BiQuat(",
+        *(f"        {text}," for text in bmul(r, p)),
+        "    )",
+    ]
+    namespace = {"__name__": __name__, "BiQuat": BiQuat}
+    exec("\n".join(lines), namespace)
+    return namespace["_sandwich"]
+
+
+_sandwich = _generate_sandwich()
 
 
 def concurrence(q: BiQuat) -> float:

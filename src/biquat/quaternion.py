@@ -55,13 +55,20 @@ class Quat(NamedTuple):
     c3: float
     c4: float
 
-    # +, - and unary - act on any two values of one class, so
-    # biquaternion.BiQuat reuses them.
+    # +, - and unary - act on any two values of one class, and __radd__
+    # refuses any other left operand, so biquaternion.BiQuat reuses all four.
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return type(self)(self.c1 + other.c1, self.c2 + other.c2,
                           self.c3 + other.c3, self.c4 + other.c4)
+
+    def __radd__(self, other):
+        # Reached only when other's + declined: refuse here, or a tuple on
+        # the left would concatenate with this one.
+        raise TypeError(f"unsupported operand type(s) for +: "
+                        f"{type(other).__name__!r} and "
+                        f"{type(self).__name__!r}")
 
     def __sub__(self, other):
         if type(other) is not type(self):

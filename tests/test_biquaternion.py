@@ -76,11 +76,21 @@ def test_scalar_and_operator_sugar():
     p = BiQuat(1, 2j, 0, 0)
     assert p * 2 == BiQuat(2, 4j, 0, 0)
     assert 1j * p == BiQuat(1j, -2, 0, 0)
-    assert p + p == BiQuat(2, 4j, 0, 0)
+    assert p + p == BiQuat(2, 4j, 0, 0) and type(p + p) is BiQuat
     assert p - p == BiQuat(0, 0, 0, 0)
     assert -p == BiQuat(-1, -2j, 0, 0)
     q = BiQuat(0, 1, 0, 0)
     assert p * q == bmul(p, q)
+
+
+@pytest.mark.parametrize("expr", [
+    "(0, 0, 0, 0) + q", "(1, 2) + b", "0 + q", "0 + b", "q + (0, 0, 0, 0)",
+    "b + (1, 2)", "q + b", "b + q",
+])
+def test_addition_refuses_other_operands(expr):
+    # A tuple on the left must not concatenate with a Quat or BiQuat.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        eval(expr, {"q": Quat(1, 0, 0, 0), "b": BiQuat(1, 0, 0, 0)})
 
 
 # --- conjugations ------------------------------------------------------
@@ -214,6 +224,25 @@ def test_symmetrized_norm_identity():
         assert abs(s.c2) <= 1e-12 * max(1.0, n)
         assert abs(s.c3) <= 1e-12 * max(1.0, n)
         assert abs(s.c4) <= 1e-12 * max(1.0, n)
+
+
+def test_norm_h_is_the_sum_of_squares_in_part_order():
+    # Bit for bit the eight squares summed left to right, real part
+    # before imaginary part, c1 to c4, at the edges of the floats too.
+    rng = random.Random(29)
+    edges = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e154, 1e308, -1e308,
+             math.inf, -math.inf, math.nan, 1.0, -0.5)
+
+    def part():
+        return rng.choice(edges) if rng.random() < 0.4 else rng.uniform(-2, 2)
+
+    for _ in range(3000):
+        q = BiQuat(*(complex(part(), part()) for _ in range(4)))
+        want = (q.c1.real * q.c1.real + q.c1.imag * q.c1.imag
+                + q.c2.real * q.c2.real + q.c2.imag * q.c2.imag
+                + q.c3.real * q.c3.real + q.c3.imag * q.c3.imag
+                + q.c4.real * q.c4.real + q.c4.imag * q.c4.imag)
+        assert repr(norm_h(q)) == repr(want)
 
 
 def test_norm_h_multiplicative_for_real_factor():

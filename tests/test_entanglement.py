@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from biquat import biquaternion, entanglement, quaternion
 from biquat.biquaternion import BiQuat, bmul, from_quat, norm_h
 from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, RestrictionError,
                                  StateAmp, Variant, _sandwich,
@@ -282,6 +283,48 @@ def test_sandwich_is_bit_identical_to_the_embedded_rotor():
                                      -INV_SQRT2, variant))
             pb = from_quat(p)
             assert repr(_sandwich(p, q)) == repr(bmul(bmul(pb, q), pb))
+
+
+_SPECIAL_REALS = (math.inf, -math.inf, math.nan, 1e308, -1e308)
+
+
+def test_sandwich_is_bit_identical_to_two_bmuls_with_the_float_rotor():
+    # The float rotor goes into both bmuls as it is, so this holds on
+    # every Python version, 3.14's part-by-part float * complex included.
+    rng = random.Random(76)
+    edges = _EDGE_REALS + _SPECIAL_REALS
+
+    def part():
+        if rng.random() < 0.4:
+            return rng.choice(edges)
+        return rng.uniform(-1.0, 1.0)
+
+    for _ in range(3000):
+        p = Quat(*(part() for _ in range(4)))
+        q = BiQuat(*(complex(part(), part()) for _ in range(4)))
+        assert repr(_sandwich(p, q)) == repr(bmul(bmul(p, q), p))
+    for variant, sup in CASES:
+        for _ in range(20):
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            p = _rotor(sup, math.cos(t), math.sin(t))
+            q = embed_state(StateAmp(I_SQRT2 * cmath.exp(1j * t),
+                                     -INV_SQRT2, variant))
+            assert repr(_sandwich(p, q)) == repr(bmul(bmul(p, q), p))
+
+
+def test_sandwich_is_compiled_once_at_import(monkeypatch):
+    p = Quat(INV_SQRT2, 0, INV_SQRT2, 0)
+    q = BiQuat(I_SQRT2, -I_SQRT2, 0, 0)
+    want = entangle(p, q), entangle_map(p, q)
+
+    def refuse(*args):
+        raise AssertionError("the sandwich multiplied through a call")
+
+    for module, name in ((quaternion, "hamilton"), (biquaternion, "hamilton"),
+                         (biquaternion, "bmul"), (entanglement, "bmul")):
+        monkeypatch.setattr(module, name, refuse)
+    assert (entangle(p, q), entangle_map(p, q)) == want
+    assert _sandwich.__module__ == "biquat.entanglement"
 
 
 # --- concurrence ---------------------------------------------------------

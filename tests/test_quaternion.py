@@ -90,7 +90,7 @@ def test_integer_associativity_and_distributivity_exact():
 def test_operator_sugar():
     p, q = Quat(1, 2, 3, 4), Quat(5, 6, 7, 8)
     assert p * q == mul(p, q)
-    assert p + q == Quat(6, 8, 10, 12)
+    assert p + q == Quat(6, 8, 10, 12) and type(p + q) is Quat
     assert p - q == Quat(-4, -4, -4, -4)
     assert -p == Quat(-1, -2, -3, -4)
     assert p * 2 == Quat(2, 4, 6, 8)
