@@ -54,9 +54,9 @@ class ParseError(ValueError):
 
 _NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_RE_REAL = re.compile(rf"({_NUM})\Z")
-_RE_IMAG = re.compile(rf"({_NUM})i\Z")
-_RE_BOTH = re.compile(rf"({_NUM})([+-]{_UNSIGNED})i\Z")
+# One pattern for the three literal forms a, bi and a+bi: group 2 is the
+# signed imaginary part of a+bi, group 3 the "i" of bi.
+_RE_COMPLEX = re.compile(rf"({_NUM})(?:([+-]{_UNSIGNED})i|(i))?\Z")
 
 
 def _reject_constant(name: str):
@@ -64,14 +64,16 @@ def _reject_constant(name: str):
 
 
 def _parse_complex(token: str, position: int) -> complex:
-    if m := _RE_REAL.match(token):
-        z = complex(float(m.group(1)), 0.0)
-    elif m := _RE_IMAG.match(token):
-        z = complex(0.0, float(m.group(1)))
-    elif m := _RE_BOTH.match(token):
-        z = complex(float(m.group(1)), float(m.group(2)))
-    else:
+    m = _RE_COMPLEX.match(token)
+    if m is None:
         raise ParseError(f"malformed complex literal {token!r}", position)
+    first, imag, unit = m.groups()
+    if imag is not None:
+        z = complex(float(first), float(imag))
+    elif unit is not None:
+        z = complex(0.0, float(first))
+    else:
+        z = complex(float(first), 0.0)
     if not cmath.isfinite(z):  # 1e999 overflows to inf
         raise ParseError("non-finite number", position)
     return z

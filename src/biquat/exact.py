@@ -8,18 +8,27 @@ rational coordinates over the real basis
 and products are accumulated through an explicit structure-constant
 table derived from the defining relations alone.  ``oracle_mul`` is not
 written by hand: at import it is generated from that table as one
-straight-line sum per output coordinate.  Nothing here touches the
-floating complex-coefficient path in ``biquaternion``, so agreement
+straight-line sum per output coordinate, followed inline by the
+reduction (one gcd of the eight sums and the denominator, then the
+result built directly, with no intermediate list).  Nothing here touches
+the floating complex-coefficient path in ``biquaternion``, so agreement
 between the two is evidence, not tautology.
 
-Coordinates are held as integer numerators over one denominator; the
-constructor reads a ``Fraction`` or ``int`` input as its own integer
-ratio and converts every other type through ``Fraction``.
+Coordinates are held as integer numerators over one denominator.  The
+hot paths are fixed-arity straight-line code over the eight coordinates,
+with no per-coordinate loop: the constructor unpacks eight
+``(numerator, denominator)`` pairs, takes one lcm and writes the scaled
+numerators as one tuple; it reads a ``Fraction`` or ``int`` input as its
+own integer ratio and converts every other type through ``Fraction``.
+``_reduced`` takes one gcd.  Each conjugation is one tuple display,
+generated at import from ``_CONJ_FLIPS``, the table of the coordinates
+it negates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -152,12 +161,17 @@ class ExactBiQuat:
             raise ValueError("ExactBiQuat needs exactly 8 coordinates")
         # A Fraction or int already is a reduced ratio; only other types
         # (bool and subclasses included) are converted through Fraction.
-        ratios = [(c if type(c) is Fraction or type(c) is int
-                   else Fraction(c)).as_integer_ratio() for c in coords]
-        den = math.lcm(*(d for _, d in ratios))
+        ((n0, d0), (n1, d1), (n2, d2), (n3, d3),
+         (n4, d4), (n5, d5), (n6, d6), (n7, d7)) = [
+            (c if type(c) is Fraction or type(c) is int
+             else Fraction(c)).as_integer_ratio() for c in coords]
+        den = math.lcm(d0, d1, d2, d3, d4, d5, d6, d7)
         # The lcm of reduced denominators is the least common one, so
         # no further reduction is needed.
-        _set_nums(self, tuple([n * (den // d) for n, d in ratios]))
+        _set_nums(self, (n0 * (den // d0), n1 * (den // d1),
+                         n2 * (den // d2), n3 * (den // d3),
+                         n4 * (den // d4), n5 * (den // d5),
+                         n6 * (den // d6), n7 * (den // d7)))
         _set_den(self, den)
 
     @classmethod
@@ -168,11 +182,15 @@ class ExactBiQuat:
     @classmethod
     def from_ratio(cls, nums, den: int) -> "ExactBiQuat":
         """Eight integer numerators over one positive integer denominator,
-        reduced here by their gcd."""
+        reduced here by their gcd.
+
+        Each value is read through ``operator.index``: a bool is stored
+        as the int it equals, and a float raises ``TypeError``.
+        """
         if len(nums) != 8 or den <= 0:
             raise ValueError("ExactBiQuat.from_ratio needs 8 numerators and "
                              "a positive denominator")
-        return _reduced(nums, den)
+        return _reduced(map(operator.index, nums), operator.index(den))
 
     @classmethod
     def from_biquat(cls, q) -> "ExactBiQuat":
@@ -253,21 +271,36 @@ def _canonical(nums: tuple[int, ...], den: int) -> ExactBiQuat:
 
 
 def _reduced(nums, den: int) -> ExactBiQuat:
-    """ExactBiQuat nums / den for any positive den, reduced by gcd."""
-    g = math.gcd(den, *nums)
-    if g != 1:
-        return _canonical(tuple([n // g for n in nums]), den // g)
-    return _canonical(tuple(nums), den)
+    """ExactBiQuat nums / den for eight int nums and any positive int den,
+    reduced by gcd."""
+    n0, n1, n2, n3, n4, n5, n6, n7 = nums
+    g = math.gcd(den, n0, n1, n2, n3, n4, n5, n6, n7)
+    if g == 1:
+        return _canonical((n0, n1, n2, n3, n4, n5, n6, n7), den)
+    return _canonical((n0 // g, n1 // g, n2 // g, n3 // g,
+                       n4 // g, n5 // g, n6 // g, n7 // g), den // g)
+
+
+def _compile(name, lines):
+    """Function ``name`` defined by the source ``lines``, executed with this
+    module's ``__name__`` and the names that build an ``ExactBiQuat``
+    directly, past its constructor."""
+    namespace = {"__name__": __name__, "_gcd": math.gcd,
+                 "_new": object.__new__, "ExactBiQuat": ExactBiQuat,
+                 "_set_nums": _set_nums, "_set_den": _set_den}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
 
 
 def _generate_product(structure):
     """Compile the exact product from an 8x8 (sign, index) table.
 
-    Each output coordinate becomes one straight-line sum: the products
-    ``p{a}*q{b}`` with sign +1 first, then those with sign -1, all read
-    from ``structure``, so the code follows the table and is never
-    written by hand.  The function is executed with this module's
-    ``__name__``, so its ``__module__`` is ``biquat.exact``.
+    Each output coordinate ``n{c}`` becomes one straight-line sum: the
+    products ``p{a}*q{b}`` with sign +1 first, then those with sign -1,
+    all read from ``structure``, so the code follows the table and is
+    never written by hand.  The reduction by the gcd of the sums and the
+    denominator follows inline, as in ``_reduced``.  ``_compile`` gives
+    the function this module's ``__name__`` as its ``__module__``.
     """
     plus = [[] for _ in range(8)]
     minus = [[] for _ in range(8)]
@@ -278,18 +311,26 @@ def _generate_product(structure):
     for c in range(8):
         text = " + ".join(plus[c]) or "0"
         sums.append(" - ".join([text, *minus[c]]))
+    n = ", ".join(f"n{c}" for c in range(8))
     lines = [
         "def oracle_mul(p, q):",
         '    """Exact product p q through the structure-constant table."""',
         "    " + ", ".join(f"p{a}" for a in range(8)) + " = p.nums",
         "    " + ", ".join(f"q{b}" for b in range(8)) + " = q.nums",
-        "    return _reduced([",
-        *(f"        {text}," for text in sums),
-        "    ], p.den * q.den)",
+        "    den = p.den * q.den",
+        *(f"    n{c} = {text}" for c, text in enumerate(sums)),
+        f"    g = _gcd(den, {n})",
+        "    x = _new(ExactBiQuat)",
+        "    if g == 1:",
+        f"        _set_nums(x, ({n}))",
+        "        _set_den(x, den)",
+        "    else:",
+        "        _set_nums(x, (" + ", ".join(f"n{c} // g" for c in range(8))
+        + "))",
+        "        _set_den(x, den // g)",
+        "    return x",
     ]
-    namespace = {"__name__": __name__, "_reduced": _reduced}
-    exec("\n".join(lines), namespace)
-    return namespace["oracle_mul"]
+    return _compile("oracle_mul", lines)
 
 
 oracle_mul = _generate_product(STRUCTURE)
@@ -304,15 +345,37 @@ _CONJ_FLIPS = {
 }
 
 
+def _generate_conjugations(flips_by_kind):
+    """Compile one straight-line function per conjugation kind.
+
+    Each returns ``x`` with the coordinates ``flips_by_kind[kind]``
+    negated, as one tuple display over the same denominator: negation
+    keeps the form canonical.
+    """
+    n = ", ".join(f"n{k}" for k in range(8))
+    conjugations = {}
+    for kind, flips in flips_by_kind.items():
+        out = ", ".join(f"-n{k}" if k in flips else f"n{k}" for k in range(8))
+        conjugations[kind] = _compile(f"conj_{kind}", [
+            f"def conj_{kind}(x):",
+            f"    {n} = x.nums",
+            "    y = _new(ExactBiQuat)",
+            f"    _set_nums(y, ({out}))",
+            "    _set_den(y, x.den)",
+            "    return y",
+        ])
+    return conjugations
+
+
+_CONJUGATIONS = _generate_conjugations(_CONJ_FLIPS)
+
+
 def exact_conj(x: ExactBiQuat, kind: str) -> ExactBiQuat:
     try:
-        flips = _CONJ_FLIPS[kind]
+        conj = _CONJUGATIONS[kind]
     except KeyError:
         raise ValueError(f"unknown conjugation kind: {kind!r}") from None
-    c = list(x.nums)
-    for k in flips:
-        c[k] = -c[k]
-    return _canonical(tuple(c), x.den)
+    return conj(x)
 
 
 def check_basis_associativity() -> bool:

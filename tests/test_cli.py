@@ -4,12 +4,14 @@ Output is captured with redirect_stdout/redirect_stderr rather than
 capsys so the tests behave the same under pytest's -s mode.
 """
 
+import cmath
 import csv
 import io
 import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -71,6 +73,51 @@ def test_parse_bad_literal_reports_position():
         parse_biquat("1, i, 0, 0")  # bare i needs a coefficient
     with pytest.raises(ParseError):
         parse_biquat("1+2j, 0, 0, 0")
+
+
+# The three-pattern grammar cli._RE_COMPLEX replaces, kept as the reference.
+_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_REF_FORMS = (rf"({_NUM})", rf"({_NUM})i", rf"({_NUM})([+-]{_UNSIGNED})i")
+_REF_REAL, _REF_IMAG, _REF_BOTH = (re.compile(rf"{form}\Z")
+                                   for form in _REF_FORMS)
+
+
+def _reference_literal(token):
+    """(re, im) text of a literal by the three patterns, or None."""
+    if m := _REF_REAL.match(token):
+        return m.group(1), "0.0"
+    if m := _REF_IMAG.match(token):
+        return "0.0", m.group(1)
+    if m := _REF_BOTH.match(token):
+        return m.group(1), m.group(2)
+    return None
+
+
+_literal_tokens = st.one_of(
+    st.from_regex("|".join(f"(?:{form})" for form in _REF_FORMS),
+                  fullmatch=True),
+    st.text(alphabet="0123456789.eE+-ij ", max_size=16),
+)
+
+
+@given(_literal_tokens)
+def test_complex_literal_grammar_equals_the_three_pattern_union(token):
+    want = _reference_literal(token)
+    assert (cli._RE_COMPLEX.match(token) is None) == (want is None)
+    try:
+        got = cli._parse_complex(token, 7)
+    except ParseError as e:
+        got = (str(e), e.position)
+    if want is None:
+        assert got == (f"malformed complex literal {token!r} "
+                       f"(at position 7)", 7)
+        return
+    z = complex(float(want[0]), float(want[1]))
+    if cmath.isfinite(z):
+        assert repr(got) == repr(z)
+    else:
+        assert got == ("non-finite number (at position 7)", 7)
 
 
 def test_parse_json_errors():

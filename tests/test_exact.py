@@ -285,6 +285,64 @@ def test_generated_product_is_a_documented_function_of_this_module():
     assert oracle_mul.__doc__
 
 
+def _raw_gcd(p, q):
+    # gcd of the unreduced product: the reference's numerators over
+    # p.den * q.den, and that denominator.
+    den = p.den * q.den
+    return math.gcd(den, *(int(c * den) for c in _reference_mul(p, q).coords))
+
+
+@pytest.mark.parametrize("p,q,raw_gcd", [
+    # 1/2 * 1/3 over 6: already reduced.
+    (_exact(Fraction(1, 2), 0, 0, 0, 0, 0, 0, 0),
+     _exact(Fraction(1, 3), 0, 0, 0, 0, 0, 0, 1), 1),
+    # (1/2 + i^/4)(2 + 2 j^) = 1 + i^/2 + j^ + k^/2 over 4, gcd 2.
+    (_exact(Fraction(1, 2), Fraction(1, 4), 0, 0, 0, 0, 0, 0),
+     _exact(2, 0, 2, 0, 0, 0, 0, 0), 2),
+    # (1 + i i^)(1 - i i^) / 6 = 0: every numerator vanishes.
+    (_exact(Fraction(1, 2), 0, 0, 0, 0, Fraction(1, 2), 0, 0),
+     _exact(Fraction(1, 3), 0, 0, 0, 0, Fraction(-1, 3), 0, 0), 6),
+    (_exact(0, 0, 0, 0, 0, 0, 0, 0),
+     _exact(Fraction(1, 7), 0, 0, 0, 0, 0, 0, Fraction(2, 9)), 63),
+])
+def test_oracle_mul_reduces_as_fractions_do(p, q, raw_gcd):
+    assert _raw_gcd(p, q) == raw_gcd
+    out = oracle_mul(p, q)
+    assert (out.nums, out.den) == _via_fraction(_reference_mul(p, q).coords)
+    assert all(type(n) is int for n in out.nums) and type(out.den) is int
+    if not any(out.nums):
+        assert out.den == 1
+
+
+@pytest.mark.parametrize("nums,den", [
+    ((1, 2, 3, 4, 5, 6, 7, 8), 1),
+    ((1, 2, 3, 4, 5, 6, 7, 8), 9),
+    ((2, -4, 6, 0, 8, 10, -12, 14), 6),
+    ((3, 0, 0, 0, 0, 0, 0, -9), 27),
+    ((0, 0, 0, 0, 0, 0, 0, 0), 7),
+    ((10 ** 40, -(10 ** 30), 0, 0, 0, 0, 0, 5 * 10 ** 20), 10 ** 25),
+])
+def test_reduction_matches_fractions(nums, den):
+    want = _via_fraction([Fraction(n, den) for n in nums])
+    for x in (ExactBiQuat.from_ratio(nums, den), exact._reduced(nums, den),
+              exact._reduced(list(nums), den)):
+        assert (x.nums, x.den) == want
+        assert all(type(n) is int for n in x.nums) and type(x.den) is int
+
+
+def test_from_ratio_stores_integers_and_refuses_floats():
+    x = ExactBiQuat.from_ratio((True, False, 0, 0, 0, 0, 0, True), True)
+    assert (x.nums, x.den) == ((1, 0, 0, 0, 0, 0, 0, 1), 1)
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
+    with pytest.raises(TypeError):
+        ExactBiQuat.from_ratio((1.0, 0, 0, 0, 0, 0, 0, 0), 1)
+    with pytest.raises(TypeError):
+        ExactBiQuat.from_ratio((1, 0, 0, 0, 0, 0, 0, 0), 2.0)
+    for nums, den in (((1,) * 7, 1), ((1,) * 8, 0), ((1,) * 8, False)):
+        with pytest.raises(ValueError, match="8 numerators and a positive"):
+            ExactBiQuat.from_ratio(nums, den)
+
+
 def test_exact_imports_nothing_from_the_float_route():
     tree = ast.parse(Path(exact.__file__).read_text(encoding="utf-8"))
     names = set()
@@ -374,13 +432,27 @@ def test_exact_conj_matches_float_conjugate():
             assert got == tuple(conjugate(f, kind))
 
 
+def test_each_conjugation_negates_its_flips_term_by_term():
+    assert set(exact._CONJUGATIONS) == set(exact._CONJ_FLIPS)
+    rng = random.Random(84)
+    samples = [_basis(k) for k in range(8)]
+    samples += [random_exact_biquat(rng) for _ in range(100)]
+    for x in samples:
+        for kind, flips in exact._CONJ_FLIPS.items():
+            got = exact_conj(x, kind)
+            assert got.den == x.den
+            assert got.coords == tuple(-c if k in flips else c
+                                       for k, c in enumerate(x.coords))
+
+
 def test_exact_conj_involution_and_errors():
     rng = random.Random(76)
     x = random_exact_biquat(rng)
     for kind in ("complex", "quaternion", "hermitian"):
         assert exact_conj(exact_conj(x, kind), kind) == x
-    with pytest.raises(ValueError, match="unknown conjugation kind"):
-        exact_conj(x, "other")
+    for kind in ("other", "Complex", ""):
+        with pytest.raises(ValueError, match="unknown conjugation kind"):
+            exact_conj(x, kind)
 
 
 # --- agreement with the float path -------------------------------------------
