@@ -1,4 +1,39 @@
-"""Command-line interface.
+"""Command-line interface: the ``biquat`` entry point.
+
+The grammar is written once, in ``_COMMANDS``.  ``_read_argv`` reads a
+well-formed argv from that table without loading argparse: leading
+``--json`` flags, a command name, exact option names each followed by a
+plain value, at most one positional, and ``--json`` anywhere after the
+command.  It declines anything else (help, abbreviations, the ``=`` and
+``--`` forms, unknown tokens, usage errors) and ``main`` hands that argv
+to the argparse parser ``build_parser`` makes from the same table, so
+every help text, usage message and exit code is argparse's own.
+``_DESCRIPTION`` is the summary ``biquat --help`` prints.
+"""
+
+from __future__ import annotations
+
+import cmath
+import json
+import math
+import re
+import sys
+from types import SimpleNamespace
+
+from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
+from .entanglement import (RestrictionError, StateAmp, Variant,
+                           _concurrence, _sandwich, check_restrictions,
+                           concurrence, embed_state, entangle)
+from .quaternion import Quat, polar
+from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
+                        rotate_biquat, rotate_onesided)
+
+__all__ = ["ParseError", "parse_biquat", "parse_quat", "format_biquat",
+           "format_complex", "build_parser", "main"]
+
+MAXIMAL_TOL = 1e-9
+
+_DESCRIPTION = """Command-line interface.
 
     biquat entangle --p <quat> --q <biquat>     checked entangling map
     biquat concurrence <biquat>                 concurrence of a state
@@ -18,28 +53,6 @@ command to structured output.
 Exit codes: 0 success, 1 parse or usage error, 2 restriction rejection,
 3 verification failure.
 """
-
-from __future__ import annotations
-
-import argparse
-import cmath
-import json
-import math
-import re
-import sys
-
-from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
-from .entanglement import (RestrictionError, StateAmp, Variant,
-                           _concurrence, _sandwich, check_restrictions,
-                           concurrence, embed_state, entangle)
-from .quaternion import Quat, polar
-from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
-                        rotate_biquat, rotate_onesided)
-
-__all__ = ["ParseError", "parse_biquat", "parse_quat", "format_biquat",
-           "format_complex", "build_parser", "main"]
-
-MAXIMAL_TOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -339,88 +352,177 @@ def _cmd_sweep(ns) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage problems are exit code 1 here, not argparse's default 2.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# The command grammar, the one source of build_parser and _read_argv:
+# name -> (help, arguments), each argument a name and the keywords
+# add_argument takes.  A name without the "--" prefix is the positional.
+# Every command also takes --json, and its handler is _handler_name(name).
+_COMMANDS = {
+    "entangle": ("run the checked entangling map", (
+        ("--p", {"required": True, "metavar": "QUAT",
+                 "help": "real unit rotor quaternion"}),
+        ("--q", {"required": True, "metavar": "BIQUAT",
+                 "help": "embedded product state"}))),
+    "concurrence": ("concurrence of a normalized state", (
+        ("state", {"metavar": "BIQUAT", "help": "state, or - for stdin"}),)),
+    "check": ("evaluate restrictions R1-R3 only", (
+        ("--p", {"required": True, "metavar": "QUAT"}),
+        ("--q", {"required": True, "metavar": "BIQUAT"}))),
+    "rotate": ("apply a rotation map", (
+        ("--map", {"required": True, "choices": ("left", "right", "conj",
+                                                 "psi", "lorentz", "mu")}),
+        ("--q", {"required": True, "metavar": "(BI)QUAT"}),
+        ("--x", {"required": True, "metavar": "(BI)QUAT"}))),
+    "polar": ("polar decomposition of a quaternion", (
+        ("value", {"metavar": "QUAT"}),)),
+    "verify-theorem": (
+        "verify the eight-case entangling law (exit 3 on failure)", (
+            ("--samples", {"type": int, "default": 1000,
+                           "help": "float-law samples per case "
+                                   "(default 1000)"}),
+            ("--seed", {"type": int, "default": 7,
+                        "help": "seed for the float-law samples "
+                                "(default 7)"}))),
+    "verify-examples": (
+        "recompute the three golden examples (exit 3 on failure)", ()),
+    "sweep": ("CSV concurrence sweep over an N^4 grid", (
+        ("--grid", {"type": int, "default": 5, "metavar": "N",
+                    "help": "points per axis (default 5)"}),
+        ("--out", {"default": "-", "metavar": "PATH",
+                   "help": "output file, - for stdout (default)"}))),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="biquat", description=__doc__,
+def _handler_name(command: str) -> str:
+    return "_cmd_" + command.replace("-", "_")
+
+
+def build_parser():
+    """A fresh ``argparse.ArgumentParser`` for the grammar in
+    ``_COMMANDS``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # Usage problems are exit code 1 here, not argparse's default 2.
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    top = _Parser(prog="biquat", description=_DESCRIPTION,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     top.add_argument("--json", action="store_true", default=False,
                      help="structured JSON output")
     sub = top.add_subparsers(dest="command", required=True)
-
-    # The flag works in both positions; SUPPRESS keeps a subcommand
-    # occurrence from clobbering one given before the command name.
-    def cmd(name, handler, help_):
+    for name, (help_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
+        # The flag works in both positions; SUPPRESS keeps a subcommand
+        # occurrence from clobbering one given before the command name.
         p.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS)
-        p.set_defaults(handler=handler.__name__)
-        return p
-
-    p = cmd("entangle", _cmd_entangle, "run the checked entangling map")
-    p.add_argument("--p", required=True, metavar="QUAT",
-                   help="real unit rotor quaternion")
-    p.add_argument("--q", required=True, metavar="BIQUAT",
-                   help="embedded product state")
-
-    p = cmd("concurrence", _cmd_concurrence,
-            "concurrence of a normalized state")
-    p.add_argument("state", metavar="BIQUAT", help="state, or - for stdin")
-
-    p = cmd("check", _cmd_check, "evaluate restrictions R1-R3 only")
-    p.add_argument("--p", required=True, metavar="QUAT")
-    p.add_argument("--q", required=True, metavar="BIQUAT")
-
-    p = cmd("rotate", _cmd_rotate, "apply a rotation map")
-    p.add_argument("--map", required=True,
-                   choices=["left", "right", "conj", "psi", "lorentz", "mu"])
-    p.add_argument("--q", required=True, metavar="(BI)QUAT")
-    p.add_argument("--x", required=True, metavar="(BI)QUAT")
-
-    p = cmd("polar", _cmd_polar, "polar decomposition of a quaternion")
-    p.add_argument("value", metavar="QUAT")
-
-    p = cmd("verify-theorem", _cmd_verify_theorem,
-            "verify the eight-case entangling law (exit 3 on failure)")
-    p.add_argument("--samples", type=int, default=1000,
-                   help="float-law samples per case (default 1000)")
-    p.add_argument("--seed", type=int, default=7,
-                   help="seed for the float-law samples (default 7)")
-
-    cmd("verify-examples", _cmd_verify_examples,
-        "recompute the three golden examples (exit 3 on failure)")
-
-    p = cmd("sweep", _cmd_sweep, "CSV concurrence sweep over an N^4 grid")
-    p.add_argument("--grid", type=int, default=5, metavar="N",
-                   help="points per axis (default 5)")
-    p.add_argument("--out", default="-", metavar="PATH",
-                   help="output file, - for stdout (default)")
-
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=_handler_name(name))
     return top
 
 
-# The parser main() reuses for the life of the process, built on first
-# use rather than at import.  parse_args leaves a parser unchanged, so
-# sharing it cannot be seen.  It holds handler names, not functions, so
-# a later rebinding of a handler in this module is still called.
+def _reader_grammar():
+    """name -> (the namespace entries every argv of the command gets,
+    option -> (dest, type, choices), required dests, positional dest)."""
+    grammar = {}
+    for name, (_, arguments) in _COMMANDS.items():
+        fixed = {"command": name, "handler": _handler_name(name)}
+        options, required, positional = {}, [], None
+        for flag, keywords in arguments:
+            if flag.startswith("--"):
+                dest = flag[2:]
+                options[flag] = (dest, keywords.get("type"),
+                                 keywords.get("choices"))
+                if keywords.get("required"):
+                    required.append(dest)
+                else:
+                    fixed[dest] = keywords.get("default")
+            else:
+                positional = flag
+                required.append(flag)
+        grammar[name] = (fixed, options, tuple(required), positional)
+    return grammar
+
+
+_GRAMMAR = _reader_grammar()
+
+
+def _read_argv(argv):
+    """``vars(build_parser().parse_args(argv))`` for an argv in the exact
+    grammar, read without argparse; None for any other argv."""
+    n = len(argv)
+    i = 0
+    while i < n and argv[i] == "--json":
+        i += 1
+    if i == n or argv[i] not in _GRAMMAR:
+        return None
+    fixed, options, required, positional = _GRAMMAR[argv[i]]
+    ns = dict(fixed, json=i > 0)
+    i += 1
+    while i < n:
+        token = argv[i]
+        i += 1
+        if token == "--json":
+            ns["json"] = True
+            continue
+        option = options.get(token)
+        if option is not None:
+            if i == n:
+                return None
+            dest, convert, choices = option
+            token = argv[i]
+            i += 1
+        elif positional is None or positional in ns:
+            return None
+        else:
+            dest, convert, choices = positional, None, None
+        # argparse (3.10-3.13) reads a token starting with "-" as a value
+        # only when it is "-" alone or holds a space, and it reads "-h..."
+        # as -h with an attached argument; "--" and "=" forms are left to
+        # it as well.
+        if (token[:1] == "-" and token != "-"
+                and (token[1] in "-h" or " " not in token or "=" in token)):
+            return None
+        if convert is not None:
+            try:
+                token = convert(token)
+            except ValueError:
+                return None
+        if choices is not None and token not in choices:
+            return None
+        ns[dest] = token
+    for dest in required:
+        if dest not in ns:
+            return None
+    return ns
+
+
+# The parser main() reuses for the life of the process, built the first
+# time _read_argv declines an argv.  parse_args leaves a parser
+# unchanged, so sharing it cannot be seen.  It holds handler names, not
+# functions, so a later rebinding of a handler in this module is still
+# called.
 _parser = None
 
 
 def main(argv=None) -> int:
     global _parser
-    if _parser is None:
-        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _read_argv(argv)
+    if ns is not None:
+        args = SimpleNamespace(**ns)
+    else:
+        if _parser is None:
+            _parser = build_parser()
+        try:
+            args = _parser.parse_args(argv)
+        except SystemExit as e:
+            return e.code if isinstance(e.code, int) else 1
     try:
-        ns = _parser.parse_args(argv)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 1
-    try:
-        return globals()[ns.handler](ns)
+        return globals()[args.handler](args)
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1

@@ -12,9 +12,11 @@ import math
 import os
 import random
 import re
+import shlex
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -637,7 +639,7 @@ def test_shared_parser_behaves_like_a_fresh_one(tmp_path):
         ["--json", "concurrence", "1,0,0,0"],
         ["concurrence", "1,0,0,0"],
     ]
-    run_cli(["polar", "1,0,0,0"])
+    run_cli(["bogus"])  # handed to argparse: builds the shared parser
     shared = cli._parser
     assert shared is not None
     for argv in sequence:
@@ -680,10 +682,12 @@ def test_main_builds_its_parser_once(monkeypatch):
 
 
 def test_shared_parser_calls_the_handler_bound_now(monkeypatch):
-    run_cli(["polar", "1,0,0,0"])
+    run_cli(["bogus"])
     assert cli._parser is not None
     monkeypatch.setattr(cli, "_cmd_polar", lambda ns: 3)
     assert run_cli(["polar", "1,0,0,0"]) == (3, "", "")
+    # --js is an abbreviation, which only argparse reads.
+    assert run_cli(["--js", "polar", "1,0,0,0"]) == (3, "", "")
 
 
 _S = repr(INV_SQRT2)
@@ -744,3 +748,107 @@ def test_fuzzed_argv_exits_0_to_3_without_traceback(argv):
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
+
+
+# --- the reader main() tries before argparse ----------------------------------
+
+def _argparse_vars(argv):
+    """vars() of a fresh parser's namespace for ``argv``; None on an exit."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _typed(ns):
+    # True == 1, so equal dicts could still differ in a value's type.
+    return None if ns is None else {k: (type(v), v) for k, v in ns.items()}
+
+
+def _assert_reader_agrees(argv):
+    got = cli._read_argv(argv)
+    assert got is None or _typed(got) == _typed(_argparse_vars(argv)), argv
+
+
+@settings(max_examples=300)
+@given(_argv())
+def test_reader_reads_argv_as_argparse_does(argv):
+    _assert_reader_agrees(argv)
+
+
+# Tokens whose reading turns on an argparse detail: negative values with
+# and without a space, the -h prefix, other dash forms, abbreviations, the
+# empty token, and a second positional.
+_EDGE_TOKENS = ("-1", "-0.5", "-0.5i, 0, 0, 1", "-1, 0, 0, 0",
+                "-h 1, 0, 0, 0", "-q", "-x y=1", "--p=1,0,0,0", "--json=1",
+                "--js", "--sam", "--", "-h", "", "-", "1,0,0,0", " 7", "+7")
+_VALUED = {"--p", "--q", "--map", "--x", "--samples", "--seed", "--grid",
+           "--out"}
+
+
+@st.composite
+def _edge_argv(draw):
+    """An argv the reader takes, with edge tokens put in place of some of
+    its tokens, between them, or as the value of a repeated option."""
+    argv = draw(_argv().filter(lambda a: cli._read_argv(a) is not None))
+    edge = st.sampled_from(_EDGE_TOKENS)
+    for _ in range(draw(st.integers(0, 2))):
+        argv[draw(st.integers(0, len(argv) - 1))] = draw(edge)
+    for token in draw(st.lists(edge, max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    given_at = [k for k, token in enumerate(argv[:-1]) if token in _VALUED]
+    if given_at and draw(st.booleans()):  # the same option once more
+        k = draw(st.sampled_from(given_at))
+        argv += [argv[k], draw(st.one_of(st.just(argv[k + 1]), edge))]
+    return argv
+
+
+@settings(max_examples=500)
+@given(_edge_argv())
+def test_reader_reads_edge_case_argv_as_argparse_does(argv):
+    _assert_reader_agrees(argv)
+
+
+def _readme_argvs():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return [shlex.split(line)[1:]
+            for line in text.replace("\\\n", " ").splitlines()
+            if line.startswith("biquat ")]
+
+
+_WELL_FORMED = [
+    ["entangle", "--p", "0, 1, 0, 0", "--q", "-0.5i, 0, 0, 1"],
+    ["concurrence", "-"],
+    ["check", "--q", "1,0,0,0", "--p", "0,1,0,0"],
+    ["rotate", "--map", "mu", "--q", "1,0,0,0", "--x", "-1, 0, 0, 0"],
+    ["polar", "1,1,0,0"],
+    ["verify-theorem", "--seed", "3"],
+    ["verify-examples"],
+    ["sweep", "--out", "-", "--grid", " 2"],
+]
+
+
+def test_reader_reads_every_documented_and_golden_argv():
+    # A reader that declined everything would pass the property tests.
+    from test_golden import GOLDEN
+
+    readme = _readme_argvs()
+    assert {argv[0] for argv in readme} == set(cli._COMMANDS)
+    for argv in [*readme, *GOLDEN.values(), *_WELL_FORMED]:
+        for form in (argv, ["--json", *argv], [*argv, "--json"]):
+            got = cli._read_argv(form)
+            assert got is not None, form
+            assert _typed(got) == _typed(_argparse_vars(form)), form
+
+
+@pytest.mark.parametrize("argv,read", [
+    (["--json", "polar", "1, 1, 0, 0"], True),
+    (["--js", "polar", "1, 1, 0, 0"], False),
+    (["polar", "1, 1, 0, 0", "extra"], False),
+])
+def test_main_reads_sys_argv_when_argv_is_none(monkeypatch, argv, read):
+    assert (cli._read_argv(argv) is not None) == read
+    want = run_cli(argv)
+    monkeypatch.setattr(sys, "argv", ["biquat", *argv])
+    assert run_cli(None) == want

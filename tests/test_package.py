@@ -37,10 +37,27 @@ def _loaded_after(statement: str, names) -> list:
 
 def test_cli_import_loads_only_the_float_route():
     absent = ["biquat.exact", "biquat.verify", "dataclasses", "inspect",
-              "fractions", "random", "ast", "csv"]
+              "fractions", "random", "ast", "csv", "argparse"]
     present = ["biquat.quaternion", "biquat.biquaternion",
-               "biquat.rotations", "biquat.entanglement", "argparse"]
+               "biquat.rotations", "biquat.entanglement"]
     assert _loaded_after("import biquat.cli", absent + present) == present
+
+
+def test_cli_main_loads_argparse_only_for_argv_it_hands_over():
+    # A well-formed argv is read from the command table; "bogus" is a
+    # usage error, which argparse reports.
+    assert _fresh(
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from biquat.cli import main\n"
+        "got = []\n"
+        "for argv in (['entangle', '--p', '0.6, 0, 0.8, 0',\n"
+        "              '--q', '0.6i, -0.8i, 0, 0'], ['bogus']):\n"
+        "    with redirect_stdout(io.StringIO()), "
+        "redirect_stderr(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    got.append([code, 'argparse' in sys.modules])\n"
+        "print(json.dumps(got))") == [[0, False], [1, True]]
 
 
 def test_exact_import_loads_no_verifier():
