@@ -22,7 +22,8 @@ numerators as one tuple; it reads a ``Fraction`` or ``int`` input as its
 own integer ratio and converts every other type through ``Fraction``.
 ``_reduced`` takes one gcd.  Each conjugation is one tuple display,
 generated at import from ``_CONJ_FLIPS``, the table of the coordinates
-it negates.
+it negates.  ``str`` prints the text of the ``Fraction`` coordinates
+from the integers, without building a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ class ExactBiQuat:
     common denominator, reduced so that the numerators and the
     denominator share no factor.  That form is canonical, so equal values
     have equal fields and ``==`` and ``hash`` compare fields.  Fractions
-    are built only at the edges: the constructor, ``coords``,
-    ``component`` and ``__str__``.
+    are built only at the edges: the constructor (for a coordinate that
+    is neither an int nor a Fraction), ``coords``, ``component`` and
+    ``scalars``, and ``repr``, which shows ``coords``.  ``str`` writes
+    the text of ``scalars()`` from the integers, one gcd per coordinate.
     """
 
     __slots__ = ("nums", "den")
@@ -254,7 +257,26 @@ class ExactBiQuat:
         return f"ExactBiQuat(coords={self.coords!r})"
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(s) for s in self.scalars()) + ")"
+        # The text of str(s) for each s in scalars(), from the integers.
+        n, d = self.nums, self.den
+        return "(" + ", ".join(_complex_text(n[k], n[k + 4], d)
+                               for k in range(4)) + ")"
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for an int n and a positive int d."""
+    g = math.gcd(n, d)
+    return str(n // d) if g == d else f"{n // g}/{d // g}"
+
+
+def _complex_text(re: int, im: int, d: int) -> str:
+    """str(ExactScalar) of (re + im i) / d for a positive int d."""
+    if im == 0:
+        return _ratio_text(re, d)
+    if re == 0:
+        return _ratio_text(im, d) + "i"
+    sign = "+" if im > 0 else "-"
+    return f"{_ratio_text(re, d)}{sign}{_ratio_text(abs(im), d)}i"
 
 
 # The slot setters write past the __setattr__ that keeps values immutable.

@@ -296,6 +296,11 @@ _CASES_BY_ID = {case.case_id: case for case in ENTANGLE_CASES}
 _ZERO = ExactScalar.of(0)
 
 
+def _rotor(support: tuple[int, int], ai, aj) -> ExactBiQuat:
+    """The real rotor ai e_i + aj e_j, for int or Fraction ai and aj."""
+    return ExactBiQuat((*place_pair(support, ai, aj, 0), 0, 0, 0, 0))
+
+
 def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
                         a: tuple) -> ExactBiQuat:
     """Evaluate the tabulated expansion of p q p for one case."""
@@ -420,8 +425,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
     for case in ENTANGLE_CASES:
         failures = []
         for k, (alpha, beta, ai, aj) in enumerate(points):
-            p = ExactBiQuat.from_scalars(place_pair(
-                case.p_support, ExactScalar.of(ai), ExactScalar.of(aj), _ZERO))
+            p = _rotor(case.p_support, ai, aj)
             q = ExactBiQuat.from_scalars(
                 place_pair(case.variant.positions, alpha, beta, _ZERO))
             got = oracle_mul(oracle_mul(p, q), p)
@@ -583,32 +587,42 @@ def verify_examples() -> ExamplesReport:
     2's recomputation differs from its stated output in the sign of the
     fourth component only; the report flags the discrepancy (magnitudes
     and concurrence still agree) instead of rewriting either side.
+
+    The audit runs on the integer numerators and denominators: each
+    side's values are compared cross-multiplied, and no Fraction is built.
     """
-    one = ExactScalar.of(1)
     results = []
     for ex in GOLDEN_EXAMPLES:
-        p = ExactBiQuat.from_scalars(place_pair(ex.p_support, one, one, _ZERO))
+        p = _rotor(ex.p_support, 1, 1)
         q = ExactBiQuat.from_scalars(
             place_pair(ex.variant.positions, ex.alpha, ex.beta, _ZERO))
         computed = oracle_mul(oracle_mul(p, q), p)
+        n, e = computed.nums, computed.den
+        m, d = ex.stated_scaled.nums, ex.stated_scaled.den
 
+        # Component k is (n[k] + n[k+4] i) / e on one side and
+        # (m[k] + m[k+4] i) / d on the other.
         exact = computed == ex.stated_scaled
         mags_ok = True
         signs = []
-        for k in (1, 2, 3, 4):
-            got = computed.component(k)
-            want = ex.stated_scaled.component(k)
-            if got.abs2() != want.abs2():
+        for k in range(4):
+            got_re, got_im, want_re, want_im = n[k], n[k + 4], m[k], m[k + 4]
+            got2 = got_re * got_re + got_im * got_im
+            if got2 * d * d != (want_re * want_re + want_im * want_im) * e * e:
                 mags_ok = False
-            elif got != want and got.abs2() != 0:
-                signs.append(k)
+            elif got_re * d != want_re * e or got_im * d != want_im * e:
+                signs.append(k + 1)
 
-        # Concurrence of the normalized result: the scale factor drops
-        # out of 4*|c1*c4 - c2*c3|^2 / (sum |ck|^2)^2, all rational.
-        s = computed.scalars()
-        delta = s[0] * s[3] - s[1] * s[2]
-        total = sum(sc.abs2() for sc in s)
-        c_squared = 4 * delta.abs2() / (total * total)
+        # Concurrence of the normalized result, 4*|c1*c4 - c2*c3|^2 /
+        # (sum |ck|^2)^2: both sides have degree 4 in the coordinates, so
+        # the denominator e drops out.  A zero product is not a state and
+        # does not pass.
+        a1, a2, a3, a4, b1, b2, b3, b4 = n
+        delta_re = a1 * a4 - b1 * b4 - a2 * a3 + b2 * b3
+        delta_im = a1 * b4 + b1 * a4 - a2 * b3 - b2 * a3
+        total = sum(x * x for x in n)
+        concurrence_one = total != 0 and (
+            4 * (delta_re * delta_re + delta_im * delta_im) == total * total)
 
         note = ""
         if not exact and mags_ok:
@@ -620,7 +634,7 @@ def verify_examples() -> ExamplesReport:
             exact_match=exact,
             magnitude_match=mags_ok,
             sign_mismatch_components=tuple(signs),
-            concurrence_one=c_squared == 1,
+            concurrence_one=concurrence_one,
             note=note,
         ))
     return ExamplesReport(tuple(results))

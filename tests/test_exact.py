@@ -124,6 +124,24 @@ def test_equal_values_are_equal_and_hash_equal():
         x.den = 1
 
 
+# Zeros, small and large integers, and fractions with large numerators
+# or denominators, of either sign.
+_PRINTED = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.integers(),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 20)),
+)
+
+
+@given(st.lists(_PRINTED, min_size=8, max_size=8))
+def test_str_is_the_text_of_the_fraction_scalars(coords):
+    x = ExactBiQuat(coords)
+    assert str(x) == "(" + ", ".join(str(s) for s in x.scalars()) + ")"
+
+
 def test_coords_returns_the_fractions_passed_in():
     vals = (Fraction(1, 3), Fraction(-5, 7), 0, Fraction(2 ** 60 + 1, 3 ** 40),
             Fraction(-9, 2 ** 70), 4, Fraction(22, 6), Fraction(-1, 97))

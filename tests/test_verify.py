@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biquat import verify
+from biquat import exact, verify
 from biquat.entanglement import Variant, place_pair
 from biquat.exact import ExactBiQuat, ExactScalar, oracle_mul
 from biquat.verify import (ENTANGLE_CASES, GOLDEN_EXAMPLES, IDENTITY_POINTS,
@@ -340,3 +340,128 @@ def test_verify_examples_rendering():
     assert d["all_pass"] is True
     assert d["examples"][1]["sign_mismatch_components"] == [4]
     assert d["examples"][0]["exact_match"] is True
+
+
+def _fraction_audit(ex):
+    """The audit of one golden example in ExactScalar and Fraction
+    arithmetic: the reference for ``verify_examples``, which audits the
+    same values in integers.  A zero product raises ZeroDivisionError."""
+    one, zero = ExactScalar.of(1), ExactScalar.of(0)
+    p = ExactBiQuat.from_scalars(place_pair(ex.p_support, one, one, zero))
+    q = ExactBiQuat.from_scalars(
+        place_pair(ex.variant.positions, ex.alpha, ex.beta, zero))
+    computed = oracle_mul(oracle_mul(p, q), p)
+    mags_ok = True
+    signs = []
+    for k in (1, 2, 3, 4):
+        got = computed.component(k)
+        want = ex.stated_scaled.component(k)
+        if got.abs2() != want.abs2():
+            mags_ok = False
+        elif got != want and got.abs2() != 0:
+            signs.append(k)
+    s = computed.scalars()
+    delta = s[0] * s[3] - s[1] * s[2]
+    total = sum(sc.abs2() for sc in s)
+    c_squared = 4 * delta.abs2() / (total * total)
+    return (computed, computed == ex.stated_scaled, mags_ok, tuple(signs),
+            c_squared == 1)
+
+
+def _stated_mutations(ex):
+    """Stated values near ``ex.stated_scaled``: each component negated,
+    turned by i, tripled or zeroed, and the same value held unreduced
+    over three times the denominator."""
+    nums, den = ex.stated_scaled.nums, ex.stated_scaled.den
+    out = []
+    for k in range(4):
+        re, im = nums[k], nums[k + 4]
+        for new in ((-re, -im), (-im, re), (3 * re, 3 * im), (0, 0)):
+            n = list(nums)
+            n[k], n[k + 4] = new
+            out.append(ExactBiQuat.from_ratio(n, den))
+    out.append(exact._canonical(tuple(3 * n for n in nums), 3 * den))
+    return out
+
+
+# State amplitudes other than the examples' own.  The product is
+# unentangled (beta = 0), entangled but not maximally (|alpha| != |beta|),
+# or maximally entangled with complex coordinates (|alpha| = |beta|).
+_OTHER_AMPLITUDES = (
+    (ExactScalar.of(1), ExactScalar.of(0)),
+    (ExactScalar.of(1), ExactScalar.of(0, 2)),
+    (ExactScalar.of(3, 4), ExactScalar.of(-5, Fraction(1, 2))),
+    (ExactScalar.of(Fraction(1, 3), 1), ExactScalar.of(1, -1)),
+    (ExactScalar.of(3, 4), ExactScalar.of(5)),
+    (ExactScalar.of(1, 2), ExactScalar.of(-2, 1)),
+    (ExactScalar.of(Fraction(-3, 5), Fraction(4, 5)), ExactScalar.of(0, -1)),
+)
+
+
+def test_integer_audit_equals_the_fraction_audit(monkeypatch):
+    cases = []
+    for base in GOLDEN_EXAMPLES:
+        cases.append(base)
+        cases += [base._replace(stated_scaled=v)
+                  for v in _stated_mutations(base)]
+        cases += [base._replace(alpha=a, beta=b) for a, b in _OTHER_AMPLITUDES]
+    monkeypatch.setattr(verify, "GOLDEN_EXAMPLES", tuple(cases))
+    report = verify_examples()
+    assert len(report.examples) == len(cases)
+    seen = set()
+    for ex, got in zip(cases, report.examples):
+        assert got.example is ex
+        want = _fraction_audit(ex)
+        assert (got.computed, got.exact_match, got.magnitude_match,
+                got.sign_mismatch_components, got.concurrence_one) == want
+        seen.add((want[1], want[2], bool(want[3]), want[4]))
+    # The cases reach every verdict the audit can give.
+    assert {(True, True, False, True), (False, True, True, True),
+            (False, True, False, True), (False, False, False, True),
+            (False, False, False, False)} <= seen
+
+
+def test_zero_product_is_not_concurrence_one(monkeypatch):
+    zero = ExactScalar.of(0)
+    ex = GOLDEN_EXAMPLES[0]._replace(alpha=zero, beta=zero)
+    with pytest.raises(ZeroDivisionError):
+        _fraction_audit(ex)
+    monkeypatch.setattr(verify, "GOLDEN_EXAMPLES", (ex,))
+    report = verify_examples()
+    (result,) = report.examples
+    assert result.computed == ExactBiQuat((0,) * 8)
+    assert result.concurrence_one is False
+    assert not report.all_pass
+    assert "concurrence NOT 1" in report.to_text()
+
+
+def _fractions_made(fn):
+    """Fractions created while ``fn()`` runs, counted by a profile hook on
+    ``Fraction.__new__`` and, where it exists, on the constructor that
+    Fraction arithmetic uses past ``__new__``."""
+    makers = {Fraction.__new__.__code__}
+    if hasattr(Fraction, "_from_coprime_ints"):
+        makers.add(Fraction._from_coprime_ints.__code__)
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in makers:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_examples_audit_and_reports_make_no_fraction():
+    def run():
+        report = verify_examples()
+        report.to_text()
+        report.to_dict()
+
+    assert _fractions_made(lambda: ExactScalar.of(1, 2)) == 2
+    assert _fractions_made(run) == 0
