@@ -26,7 +26,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .biquaternion import BiQuat, bmul, json_form, norm_h
-from .quaternion import DEFAULT_TOL, Quat, norm, require_unit_norm
+from .quaternion import DEFAULT_TOL, Quat, _new, norm, require_unit_norm
 
 __all__ = [
     "Variant",
@@ -121,12 +121,48 @@ ADMISSIBLE_P_SUPPORTS = frozenset({
 })
 
 # The gate works on supports as 4-bit masks, bit k-1 for direction k:
-# _SUPPORTS[mask] is the public frozenset, _POPCOUNT[mask] its size.
+# _SUPPORTS[mask] is the public frozenset, _POPCOUNT[mask] its size and
+# _INDICES[mask] its 0-based coefficient indices, ascending.
 _SUPPORTS = tuple(frozenset(k for k in range(1, 5) if m >> (k - 1) & 1)
                   for m in range(16))
 _POPCOUNT = tuple(len(s) for s in _SUPPORTS)
+_INDICES = tuple(tuple([k for k in range(4) if m >> k & 1]) for m in range(16))
 _ADMISSIBLE_MASKS = frozenset(_SUPPORTS.index(s)
                               for s in ADMISSIBLE_P_SUPPORTS)
+_VARIANT_MASKS = frozenset(_SUPPORTS.index(frozenset(v.positions))
+                           for v in Variant)
+
+
+def _r2_r3(pm: int, qm: int) -> tuple[bool, bool]:
+    """The R2 and R3 verdicts for a rotor mask pm and a state mask qm."""
+    return (_POPCOUNT[pm] >= 2,
+            _POPCOUNT[pm & qm] == 1 and pm in _ADMISSIBLE_MASKS)
+
+
+# What the law says of a state the gate admits: _LAW for a variant pair,
+# _DEGENERATE for a single direction, _UNCOVERED for any other support.
+_LAW, _DEGENERATE, _UNCOVERED = 1, 2, 3
+
+
+def _verdict_table() -> tuple[int, ...]:
+    """R2 and R3 for every mask pair, indexed by pm << 4 | qm: 0 when
+    either fails, else the state's kind.  Every kind is true, so one
+    lookup decides both restrictions and what the law covers."""
+    kinds = [_LAW if qm in _VARIANT_MASKS
+             else _DEGENERATE if _POPCOUNT[qm] < 2 else _UNCOVERED
+             for qm in range(16)]
+    table = []
+    for pm in range(16):
+        for qm in range(16):
+            r2, r3 = _r2_r3(pm, qm)
+            table.append(kinds[qm] if r2 and r3 else 0)
+    return tuple(table)
+
+
+_VERDICT = _verdict_table()
+
+_DEGENERATE_NOTE = ("degenerate amplitudes: a state coefficient is zero, "
+                    "concurrence stays 0")
 
 
 def place_pair(positions: tuple[int, int], a, b, zero) -> list:
@@ -191,11 +227,11 @@ def _generate_sandwich():
         "    p1, p2, p3, p4 = p",
         "    q1, q2, q3, q4 = q",
         *(f"    {name} = {text}" for name, text in zip(r, bmul(p, q))),
-        "    return BiQuat(",
+        "    return _new(BiQuat, (",
         *(f"        {text}," for text in bmul(r, p)),
-        "    )",
+        "    ))",
     ]
-    namespace = {"__name__": __name__, "BiQuat": BiQuat}
+    namespace = {"__name__": __name__, "BiQuat": BiQuat, "_new": _new}
     exec("\n".join(lines), namespace)
     return namespace["_sandwich"]
 
@@ -229,31 +265,27 @@ def _mask(q, tol: float) -> int:
             | (abs(c3) > tol) << 2 | (abs(c4) > tol) << 3)
 
 
-def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
-    """Evaluate R1-R3 for the rotor p against the state q.
-
-    Every test is absolute at DEFAULT_TOL: the unit norms, R1's rotor
-    concurrence and ``support``, so an amplitude with |c| <= DEFAULT_TOL
-    counts as zero, which can switch the R3 verdict.
-    """
+def _gate(p: Quat, q: BiQuat) -> tuple[float, int, int]:
+    """The one pass over p and q behind the gate: both unit-norm checks,
+    then (R1's rotor concurrence, p's support mask, q's support mask)."""
     require_unit_norm(norm(p), "rotor must be a unit quaternion")
     require_unit_norm(norm_h(q), "state must be normalized")
-    c_p = _concurrence(p)
-    pm = _mask(p, DEFAULT_TOL)
-    qm = _mask(q, DEFAULT_TOL)
-    ps, qs = _SUPPORTS[pm], _SUPPORTS[qm]
-    shared = _POPCOUNT[pm & qm]
+    return _concurrence(p), _mask(p, DEFAULT_TOL), _mask(q, DEFAULT_TOL)
 
+
+def _rejected(c_p: float, pm: int, qm: int) -> RestrictionReport:
+    """The report of a rotor that fails the gate, notes and all; only a
+    failure pays for the text."""
     r1 = c_p <= DEFAULT_TOL
-    r2 = _POPCOUNT[pm] >= 2
-    r3 = shared == 1 and pm in _ADMISSIBLE_MASKS
-
+    r2, r3 = _r2_r3(pm, qm)
+    ps, qs = _SUPPORTS[pm], _SUPPORTS[qm]
     notes = []
     if not r1:
         notes.append(f"R1: rotor is entangled (concurrence {c_p:.3g})")
     if not r2:
         notes.append("R2: rotor is a single basis direction")
     if not r3:
+        shared = _POPCOUNT[pm & qm]
         if shared != 1:
             notes.append(f"R3: rotor support {sorted(ps)} shares "
                          f"{shared} directions with state support "
@@ -261,8 +293,23 @@ def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
         else:
             notes.append(f"R3: rotor support {sorted(ps)} is not one of "
                          "the admissible pairs (1,2) (1,3) (2,4) (3,4)")
-    detail = "; ".join(notes) if notes else "ok"
-    return RestrictionReport(r1, r2, r3, ps, qs, c_p, detail)
+    return RestrictionReport(r1, r2, r3, ps, qs, c_p, "; ".join(notes))
+
+
+def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
+    """Evaluate R1-R3 for the rotor p against the state q.
+
+    Every test is absolute at DEFAULT_TOL: the unit norms, R1's rotor
+    concurrence and ``support``, so an amplitude with |c| <= DEFAULT_TOL
+    counts as zero, which can switch the R3 verdict.  R2 and R3 depend on
+    the two support masks alone and are read from a table built at
+    import; the notes are written only for a rotor that fails.
+    """
+    c_p, pm, qm = _gate(p, q)
+    if c_p <= DEFAULT_TOL and _VERDICT[pm << 4 | qm]:
+        return _new(RestrictionReport, (True, True, True, _SUPPORTS[pm],
+                                        _SUPPORTS[qm], c_p, "ok"))
+    return _rejected(c_p, pm, qm)
 
 
 def entangle_map(p: Quat, q: BiQuat) -> BiQuat:
@@ -278,22 +325,23 @@ def entangle_map(p: Quat, q: BiQuat) -> BiQuat:
 def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     """Checked entangling map, gated at DEFAULT_TOL.
 
-    p and q are checked once, by ``check_restrictions``; the map and both
-    concurrences then run unchecked.  Raises RestrictionError (report
+    p and q are checked once, by the gate pass behind
+    ``check_restrictions``, with the same verdicts and report; the map
+    and both concurrences then run unchecked.  Raises RestrictionError (report
     attached) when p fails R1-R3.  A state with a vanishing amplitude is
     not rejected - the map is still well defined - but the outcome's
     report notes the degeneracy since no entanglement can result.
     """
-    report = check_restrictions(p, q)
-    if not report.passed:
-        raise RestrictionError(report)
-    if len(report.q_support) < 2:
-        report = report._replace(
-            detail="degenerate amplitudes: a state coefficient is "
-                   "zero, concurrence stays 0")
+    c_p, pm, qm = _gate(p, q)
+    verdict = _VERDICT[pm << 4 | qm]
+    if not (c_p <= DEFAULT_TOL and verdict):
+        raise RestrictionError(_rejected(c_p, pm, qm))
+    report = _new(RestrictionReport, (
+        True, True, True, _SUPPORTS[pm], _SUPPORTS[qm], c_p,
+        _DEGENERATE_NOTE if verdict == _DEGENERATE else "ok"))
     result = _sandwich(p, q)
-    return EntangleOutcome(result, _concurrence(q), _concurrence(result),
-                           report)
+    return _new(EntangleOutcome, (result, _concurrence(q),
+                                  _concurrence(result), report))
 
 
 def predicted_concurrence(p: Quat, q: BiQuat) -> float:
@@ -301,16 +349,23 @@ def predicted_concurrence(p: Quat, q: BiQuat) -> float:
 
     alpha, beta are q's nonzero coefficients and a_i, a_j the rotor's.
     Matches concurrence(entangle_map(p, q)) on variant-embedded states;
-    rejects p exactly like ``entangle``.
+    rejects p exactly like ``entangle``.  A state with one nonzero
+    coefficient gives 0.0.  Any other state the gate admits - one whose
+    support is not a variant pair, such as {1,4} or {1,2,3} - lies
+    outside the law, and raises ValueError instead of returning a value
+    the map does not reach.
     """
-    report = check_restrictions(p, q)
-    if not report.passed:
-        raise RestrictionError(report)
-    if len(report.q_support) < 2:
-        return 0.0
-    amps = 1.0
-    for k in report.q_support:
-        amps *= abs(q[k - 1])
-    for k in report.p_support:
-        amps *= abs(p[k - 1])
-    return 4.0 * amps
+    c_p, pm, qm = _gate(p, q)
+    verdict = _VERDICT[pm << 4 | qm]
+    if not (c_p <= DEFAULT_TOL and verdict):
+        raise RestrictionError(_rejected(c_p, pm, qm))
+    if verdict != _LAW:
+        if verdict == _DEGENERATE:
+            return 0.0
+        raise ValueError(f"state support {sorted(_SUPPORTS[qm])} is not "
+                         "one of the variant pairs (1,2) (3,4) (1,3) "
+                         "(2,4): the law does not cover it")
+    # State support ascending, then rotor support ascending.
+    i, j = _INDICES[qm]
+    a, b = _INDICES[pm]
+    return 4.0 * (abs(q[i]) * abs(q[j]) * abs(p[a]) * abs(p[b]))

@@ -40,6 +40,10 @@ DEFAULT_TOL = 1e-9
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
 
+# tuple.__new__(cls, values) builds a NamedTuple value, as its constructor
+# does, without the constructor's Python frame.
+_new = tuple.__new__
+
 
 def require_unit_norm(n: complex, message: str) -> None:
     """Raise ValueError(message) unless |n - 1| <= DEFAULT_TOL; NaN fails."""
@@ -123,13 +127,20 @@ def from_vector(v) -> Quat:
 
 
 def hamilton(cls, p, q):
-    """Hamilton product p q as a ``cls``; mul and bmul both use it."""
-    return cls(
-        p.c1 * q.c1 - p.c2 * q.c2 - p.c3 * q.c3 - p.c4 * q.c4,
-        p.c1 * q.c2 + p.c2 * q.c1 + p.c3 * q.c4 - p.c4 * q.c3,
-        p.c1 * q.c3 - p.c2 * q.c4 + p.c3 * q.c1 + p.c4 * q.c2,
-        p.c1 * q.c4 + p.c2 * q.c3 - p.c3 * q.c2 + p.c4 * q.c1,
-    )
+    """Hamilton product p q as a ``cls``; mul and bmul both use it.
+
+    p and q are unpacked once and the result is built by ``tuple.__new__``,
+    which is what the namedtuple constructor runs, without its Python-level
+    frame: same sums, same order, same bits.
+    """
+    p1, p2, p3, p4 = p
+    q1, q2, q3, q4 = q
+    return _new(cls, (
+        p1 * q1 - p2 * q2 - p3 * q3 - p4 * q4,
+        p1 * q2 + p2 * q1 + p3 * q4 - p4 * q3,
+        p1 * q3 - p2 * q4 + p3 * q1 + p4 * q2,
+        p1 * q4 + p2 * q3 - p3 * q2 + p4 * q1,
+    ))
 
 
 def mul(p: Quat, q: Quat) -> Quat:

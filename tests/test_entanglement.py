@@ -177,10 +177,35 @@ def _outcome(fn, p, q):
         return "refused", str(e)
 
 
+_VARIANT_SUPPORTS = frozenset(frozenset(v.positions) for v in Variant)
+
+
+def _check_prediction(predicted, p, q, ps, qs) -> str:
+    """Check predicted_concurrence's outcome on a pair the gate accepts
+    against the law over the sorted supports; return the state's kind."""
+    if len(qs) < 2:
+        assert predicted == ("accepted", 0.0)
+        return "degenerate"
+    if qs not in _VARIANT_SUPPORTS:
+        assert predicted == (
+            "refused", f"state support {sorted(qs)} is not one of the "
+            "variant pairs (1,2) (3,4) (1,3) (2,4): the law does not "
+            "cover it")
+        return "uncovered"
+    amps = 1.0
+    for k in sorted(qs):
+        amps *= abs(q[k - 1])
+    for k in sorted(ps):
+        amps *= abs(p[k - 1])
+    assert predicted[0] == "accepted"
+    assert repr(predicted[1]) == repr(4.0 * amps)
+    return "law"
+
+
 def test_gate_equals_the_frozenset_reference_on_every_mask():
     rotor_signs = (1.0, -1.0, 1.0, -1.0)
     state_phases = (1j, -1.0, -1j, 1.0)
-    verdicts, degenerate = set(), 0
+    verdicts, kinds, degenerate = set(), set(), 0
     for pm, p_off, qm, q_off in itertools.product(range(16), _OFF,
                                                   range(16), _OFF):
         p = Quat(*_unit_on(pm, p_off, rotor_signs))
@@ -190,14 +215,19 @@ def test_gate_equals_the_frozenset_reference_on_every_mask():
         except ValueError as e:
             assert _outcome(check_restrictions, p, q) == ("refused", str(e))
             assert _outcome(entangle, p, q) == ("refused", str(e))
+            assert _outcome(predicted_concurrence, p, q) == ("refused",
+                                                            str(e))
             continue
         report = check_restrictions(p, q)
         assert tuple(report) == want
         verdicts.add(want[:3])
         got = _outcome(entangle, p, q)
+        predicted = _outcome(predicted_concurrence, p, q)
         if not report.passed:
             assert got == ("rejected", f"rotor rejected: {want[-1]}", report)
+            assert predicted == got
             continue
+        kinds.add(_check_prediction(predicted, p, q, want[3], want[4]))
         outcome = got[1]
         if len(want[4]) < 2:
             degenerate += 1
@@ -209,12 +239,13 @@ def test_gate_equals_the_frozenset_reference_on_every_mask():
         result = _sandwich(p, q)
         assert outcome == (result, concurrence(q), 2.0 * abs(
             result.c1 * result.c4 - result.c2 * result.c3), outcome.report)
-    # The sweep reaches acceptance, the degenerate note and each failing
-    # restriction.
+    # The sweep reaches acceptance, the degenerate note, each failing
+    # restriction and each kind of state the gate admits.
     assert verdicts == {(True, True, True), (True, True, False),
                         (True, False, False), (False, True, False),
                         (False, False, False)}
     assert degenerate
+    assert kinds == {"law", "degenerate", "uncovered"}
 
 
 # --- reports and outcomes are immutable values ----------------------------
@@ -310,6 +341,44 @@ def test_sandwich_is_bit_identical_to_two_bmuls_with_the_float_rotor():
             q = embed_state(StateAmp(I_SQRT2 * cmath.exp(1j * t),
                                      -INV_SQRT2, variant))
             assert repr(_sandwich(p, q)) == repr(bmul(bmul(p, q), p))
+
+
+def _hamilton_by_attributes(cls, p, q):
+    """quaternion.hamilton as it was before it unpacked its factors: each
+    part read as an attribute, the result built by the namedtuple."""
+    return cls(
+        p.c1 * q.c1 - p.c2 * q.c2 - p.c3 * q.c3 - p.c4 * q.c4,
+        p.c1 * q.c2 + p.c2 * q.c1 + p.c3 * q.c4 - p.c4 * q.c3,
+        p.c1 * q.c3 - p.c2 * q.c4 + p.c3 * q.c1 + p.c4 * q.c2,
+        p.c1 * q.c4 + p.c2 * q.c3 - p.c3 * q.c2 + p.c4 * q.c1,
+    )
+
+
+def test_hamilton_is_bit_identical_to_the_attribute_expansion():
+    rng = random.Random(77)
+    edges = _EDGE_REALS + _SPECIAL_REALS
+
+    def part():
+        if rng.random() < 0.5:
+            return rng.choice(edges)
+        return rng.uniform(-1.0, 1.0)
+
+    for _ in range(3000):
+        a = Quat(*(part() for _ in range(4)))
+        b = Quat(*(part() for _ in range(4)))
+        x = BiQuat(*(complex(part(), part()) for _ in range(4)))
+        y = BiQuat(*(complex(part(), part()) for _ in range(4)))
+        for cls, results, want in (
+                (Quat, (quaternion.mul(a, b), a * b),
+                 _hamilton_by_attributes(Quat, a, b)),
+                (BiQuat, (bmul(x, y), x * y),
+                 _hamilton_by_attributes(BiQuat, x, y))):
+            for got in results:
+                assert type(got) is cls
+                assert repr(got) == repr(want)
+                # tuple equality compares parts by identity first, so a
+                # NaN part equals itself here.
+                assert got == cls(*got)
 
 
 def test_sandwich_is_compiled_once_at_import(monkeypatch):
@@ -575,6 +644,34 @@ def test_predicted_concurrence_rejects_like_entangle():
     with pytest.raises(RestrictionError):
         predicted_concurrence(Quat(0.5, 0.5, 0.5, 0.5),
                               BiQuat(I_SQRT2, -I_SQRT2, 0, 0))
+
+
+_T = 1.0 / math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("p, q, support, law, actual", [
+    # An entangled state on {1,4}: the law says 1, the map gives 0.
+    (Quat(INV_SQRT2, INV_SQRT2, 0, 0), BiQuat(INV_SQRT2, 0, 0, I_SQRT2),
+     "[1, 4]", 1.0, 0.0),
+    # Three directions: the law's product says 0.385, the map gives 2/3.
+    (Quat(0, INV_SQRT2, 0, INV_SQRT2), BiQuat(_T, _T * 1j, _T, 0),
+     "[1, 2, 3]", 0.385, 2.0 / 3.0),
+], ids=["support-14", "support-123"])
+def test_predicted_concurrence_refuses_a_state_outside_the_law(
+        p, q, support, law, actual):
+    # The gate admits the pair: its support shares one direction with
+    # the rotor's.  The map runs, but the law does not describe it.
+    assert check_restrictions(p, q).detail == "ok"
+    assert entangle(p, q).concurrence_after == pytest.approx(actual,
+                                                             abs=1e-12)
+    amps = 4.0 * math.prod(abs(c) for c in (*q, *p) if abs(c) > DEFAULT_TOL)
+    assert amps == pytest.approx(law, abs=1e-3)
+    with pytest.raises(ValueError) as info:
+        predicted_concurrence(p, q)
+    assert info.type is ValueError
+    assert str(info.value) == (
+        f"state support {support} is not one of the variant pairs "
+        "(1,2) (3,4) (1,3) (2,4): the law does not cover it")
 
 
 def test_concurrence_law_all_cases():

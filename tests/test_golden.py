@@ -22,10 +22,32 @@ from biquat.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+_S = "0.7071067811865476"  # sqrt(1/2), as the README writes it
+
 _COMMANDS = {
     "verify-theorem": ["verify-theorem", "--samples", "200", "--seed", "7"],
     "verify-examples": ["verify-examples"],
     "sweep": ["sweep", "--grid", "3"],
+    # The checked map and the gate: the README's entangle example and an
+    # accepted check on another variant pair.
+    "entangle": ["entangle", "--p", f"{_S}, 0, {_S}, 0",
+                 "--q", f"{_S}i, -{_S}i, 0, 0"],
+    "check": ["check", "--p", f"{_S}, {_S}, 0, 0", "--q", "0.6, 0, 0.8i, 0"],
+    # One call of each rotation map.
+    "rotate-left": ["rotate", "--map", "left", "--q", f"{_S}, {_S}, 0, 0",
+                    "--x", "0, 0, 1, 0"],
+    "rotate-right": ["rotate", "--map", "right", "--q", "0.6, 0, 0, 0.8",
+                     "--x", "1, -2, 3, 0.5"],
+    "rotate-conj": ["rotate", "--map", "conj", "--q", f"{_S}, 0, 0, {_S}",
+                    "--x", "0.25, 1, -0.5, 2"],
+    "rotate-psi": ["rotate", "--map", "psi", "--q", "0.5, 0.5, 0.5, 0.5",
+                   "--x", "1, 0.5i, -2, 1+1i"],
+    "rotate-lorentz": ["rotate", "--map", "lorentz",
+                       "--q", "1.1276259652063807, 0.5210953054937474i, 0, 0",
+                       "--x", "1, 0, 0, 0"],
+    "rotate-mu": ["rotate", "--map", "mu",
+                  "--q", "1.1276259652063807, 0, 0, 0.5210953054937474i",
+                  "--x", "0.3, 1, 0.5i, -1-0.25i"],
 }
 
 # file name -> argv; every command with and without --json.
