@@ -24,14 +24,12 @@ from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
                            _concurrence, _sandwich, check_restrictions,
                            concurrence, embed_state, entangle)
-from .quaternion import Quat, polar
+from .quaternion import DEFAULT_TOL, Quat, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
 
 __all__ = ["ParseError", "parse_biquat", "parse_quat", "format_biquat",
            "format_complex", "build_parser", "main"]
-
-MAXIMAL_TOL = 1e-9
 
 _DESCRIPTION = """Command-line interface.
 
@@ -336,7 +334,7 @@ def _cmd_sweep(ns) -> int:
                     beta_text = format_complex(beta)
                     for p, ai_text, aj_text in rotors:
                         c = _concurrence(_sandwich(p, qv))
-                        is_max = c >= 1.0 - MAXIMAL_TOL
+                        is_max = c >= 1.0 - DEFAULT_TOL
                         w.writerow([alpha_text, beta_text, ai_text, aj_text,
                                     repr(c), 1 if is_max else 0])
                         rows += 1

@@ -131,6 +131,10 @@ _ADMISSIBLE_MASKS = frozenset(_SUPPORTS.index(s)
                               for s in ADMISSIBLE_P_SUPPORTS)
 _VARIANT_MASKS = frozenset(_SUPPORTS.index(frozenset(v.positions))
                            for v in Variant)
+# The pair lists the gate's messages name, as "(1,2) (1,3) ...".
+_ADMISSIBLE_TEXT = " ".join(sorted("({},{})".format(*sorted(s))
+                                   for s in ADMISSIBLE_P_SUPPORTS))
+_VARIANT_TEXT = " ".join("({},{})".format(*v.positions) for v in Variant)
 
 
 def _r2_r3(pm: int, qm: int) -> tuple[bool, bool]:
@@ -292,7 +296,7 @@ def _rejected(c_p: float, pm: int, qm: int) -> RestrictionReport:
                          f"{sorted(qs)}, need exactly 1")
         else:
             notes.append(f"R3: rotor support {sorted(ps)} is not one of "
-                         "the admissible pairs (1,2) (1,3) (2,4) (3,4)")
+                         f"the admissible pairs {_ADMISSIBLE_TEXT}")
     return RestrictionReport(r1, r2, r3, ps, qs, c_p, "; ".join(notes))
 
 
@@ -363,8 +367,8 @@ def predicted_concurrence(p: Quat, q: BiQuat) -> float:
         if verdict == _DEGENERATE:
             return 0.0
         raise ValueError(f"state support {sorted(_SUPPORTS[qm])} is not "
-                         "one of the variant pairs (1,2) (3,4) (1,3) "
-                         "(2,4): the law does not cover it")
+                         f"one of the variant pairs {_VARIANT_TEXT}: "
+                         "the law does not cover it")
     # State support ascending, then rotor support ascending.
     i, j = _INDICES[qm]
     a, b = _INDICES[pm]

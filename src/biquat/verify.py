@@ -296,9 +296,13 @@ _CASES_BY_ID = {case.case_id: case for case in ENTANGLE_CASES}
 _ZERO = ExactScalar.of(0)
 
 
-def _rotor(support: tuple[int, int], ai, aj) -> ExactBiQuat:
-    """The real rotor ai e_i + aj e_j, for int or Fraction ai and aj."""
-    return ExactBiQuat((*place_pair(support, ai, aj, 0), 0, 0, 0, 0))
+def _exact_pqp(case, alpha, beta, ai, aj) -> ExactBiQuat:
+    """p q p by the oracle, for the rotor ai e_i + aj e_j (int or Fraction)
+    on case.p_support and the state (alpha, beta) on case.variant."""
+    p = ExactBiQuat((*place_pair(case.p_support, ai, aj, 0), 0, 0, 0, 0))
+    q = ExactBiQuat.from_scalars(
+        place_pair(case.variant.positions, alpha, beta, _ZERO))
+    return oracle_mul(oracle_mul(p, q), p)
 
 
 def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
@@ -425,10 +429,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
     for case in ENTANGLE_CASES:
         failures = []
         for k, (alpha, beta, ai, aj) in enumerate(points):
-            p = _rotor(case.p_support, ai, aj)
-            q = ExactBiQuat.from_scalars(
-                place_pair(case.variant.positions, alpha, beta, _ZERO))
-            got = oracle_mul(oracle_mul(p, q), p)
+            got = _exact_pqp(case, alpha, beta, ai, aj)
             want = case.evaluate(alpha, beta, (ai, aj))
             if got != want:
                 failures.append(
@@ -593,10 +594,7 @@ def verify_examples() -> ExamplesReport:
     """
     results = []
     for ex in GOLDEN_EXAMPLES:
-        p = _rotor(ex.p_support, 1, 1)
-        q = ExactBiQuat.from_scalars(
-            place_pair(ex.variant.positions, ex.alpha, ex.beta, _ZERO))
-        computed = oracle_mul(oracle_mul(p, q), p)
+        computed = _exact_pqp(ex, ex.alpha, ex.beta, 1, 1)
         n, e = computed.nums, computed.den
         m, d = ex.stated_scaled.nums, ex.stated_scaled.den
 

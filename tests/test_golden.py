@@ -64,6 +64,12 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_golden_directory_holds_exactly_the_table():
+    # CI runs the installed script over GOLDEN as well, so a file the
+    # table does not name would be checked by nothing.
+    assert {f.name for f in GOLDEN_DIR.iterdir()} == set(GOLDEN)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_file(name):
     code, out, err = _run(GOLDEN[name])
