@@ -21,21 +21,11 @@ exact route.
 Everything here is pure Python on top of the standard library.
 """
 
-from .quaternion import (DEFAULT_TOL, ONE, ZERO, PolarForm, Quat,
-                         angle_between, conj, from_polar, from_vector, inner,
-                         inverse, is_parallel, is_perpendicular, magnitude,
-                         mul, norm, polar, scalar_part, vector_part)
-from .biquaternion import (BiQuat, PolarFormC, bmul, conjugate, from_quat,
-                           inner_h, inner_q, inverse_h, is_central, is_real,
-                           json_form, norm_h, normalized, polar_c, real_part)
-from .rotations import (Triad, complex_rotation, conjugate_rotation,
-                        lorentz_map, make_triad, rotate_biquat,
-                        rotate_onesided, rotate_vec3)
-from .entanglement import (EntangleOutcome, RestrictionError,
-                           RestrictionReport, StateAmp, Variant,
-                           check_restrictions, concurrence, embed_state,
-                           entangle, entangle_map, predicted_concurrence,
-                           support)
+from . import quaternion, biquaternion, rotations, entanglement
+from .quaternion import *
+from .biquaternion import *
+from .rotations import *
+from .entanglement import *
 
 __version__ = "0.1.0"
 
@@ -48,22 +38,9 @@ _LAZY = {
     "verify_examples": "verify", "verify_theorem": "verify",
 }
 
-__all__ = [
-    "DEFAULT_TOL", "ONE", "ZERO", "PolarForm", "Quat", "angle_between",
-    "conj", "from_polar", "from_vector", "inner", "inverse", "is_parallel",
-    "is_perpendicular", "magnitude", "mul", "norm", "polar", "scalar_part",
-    "vector_part",
-    "BiQuat", "PolarFormC", "bmul", "conjugate", "from_quat", "inner_h",
-    "inner_q", "inverse_h", "is_central", "is_real", "json_form", "norm_h",
-    "normalized", "polar_c", "real_part",
-    "Triad", "complex_rotation", "conjugate_rotation", "lorentz_map",
-    "make_triad", "rotate_biquat", "rotate_onesided", "rotate_vec3",
-    "EntangleOutcome", "RestrictionError", "RestrictionReport", "StateAmp",
-    "Variant", "check_restrictions", "concurrence", "embed_state",
-    "entangle", "entangle_map", "predicted_concurrence", "support",
-    *_LAZY,
-    "__version__",
-]
+# The float route's names are its four modules' own __all__, listed once.
+__all__ = [*quaternion.__all__, *biquaternion.__all__, *rotations.__all__,
+           *entanglement.__all__, *_LAZY, "__version__"]
 
 
 def __getattr__(name):

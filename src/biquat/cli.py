@@ -8,7 +8,10 @@ command.  It declines anything else (help, abbreviations, the ``=`` and
 ``--`` forms, unknown tokens, usage errors) and ``main`` hands that argv
 to the argparse parser ``build_parser`` makes from the same table, so
 every help text, usage message and exit code is argparse's own.
-``_DESCRIPTION`` is the summary ``biquat --help`` prints.
+``biquat --help`` lists the commands from the same table, after
+``_DESCRIPTION``, which holds only what the table cannot say: the
+literal syntax, stdin and the exit codes.  Each command's usage is
+under ``biquat CMD --help``.
 """
 
 from __future__ import annotations
@@ -32,15 +35,6 @@ __all__ = ["ParseError", "parse_biquat", "parse_quat", "format_biquat",
            "format_complex", "build_parser", "main"]
 
 _DESCRIPTION = """Command-line interface.
-
-    biquat entangle --p <quat> --q <biquat>     checked entangling map
-    biquat concurrence <biquat>                 concurrence of a state
-    biquat check --p <quat> --q <biquat>        restriction report only
-    biquat rotate --map <kind> --q ... --x ...  apply a rotation map
-    biquat polar <quat>                         polar decomposition
-    biquat verify-theorem [--samples N --seed S]
-    biquat verify-examples
-    biquat sweep [--grid N] [--out PATH]        concurrence CSV sweep
 
 A biquaternion is written as four comma-separated complex literals
 ("0.5+0.5i, -0.5i, 0, 1"), or as a JSON object {"re": [...], "im":
@@ -418,7 +412,6 @@ def build_parser():
                        default=argparse.SUPPRESS)
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
-        p.set_defaults(handler=_handler_name(name))
     return top
 
 
@@ -427,7 +420,7 @@ def _reader_grammar():
     option -> (dest, type, choices), required dests, positional dest)."""
     grammar = {}
     for name, (_, arguments) in _COMMANDS.items():
-        fixed = {"command": name, "handler": _handler_name(name)}
+        fixed = {"command": name}
         options, required, positional = {}, [], None
         for flag, keywords in arguments:
             if flag.startswith("--"):
@@ -500,9 +493,9 @@ def _read_argv(argv):
 
 # The parser main() reuses for the life of the process, built the first
 # time _read_argv declines an argv.  parse_args leaves a parser
-# unchanged, so sharing it cannot be seen.  It holds handler names, not
-# functions, so a later rebinding of a handler in this module is still
-# called.
+# unchanged, so sharing it cannot be seen.  main looks the handler up
+# by command name on every call, so a later rebinding of a handler in
+# this module is still called.
 _parser = None
 
 
@@ -520,7 +513,7 @@ def main(argv=None) -> int:
         except SystemExit as e:
             return e.code if isinstance(e.code, int) else 1
     try:
-        return globals()[args.handler](args)
+        return globals()[_handler_name(args.command)](args)
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1

@@ -121,11 +121,10 @@ ADMISSIBLE_P_SUPPORTS = frozenset({
 })
 
 # The gate works on supports as 4-bit masks, bit k-1 for direction k:
-# _SUPPORTS[mask] is the public frozenset, _POPCOUNT[mask] its size and
-# _INDICES[mask] its 0-based coefficient indices, ascending.
+# _SUPPORTS[mask] is the public frozenset and _INDICES[mask] its 0-based
+# coefficient indices, ascending.
 _SUPPORTS = tuple(frozenset(k for k in range(1, 5) if m >> (k - 1) & 1)
                   for m in range(16))
-_POPCOUNT = tuple(len(s) for s in _SUPPORTS)
 _INDICES = tuple(tuple([k for k in range(4) if m >> k & 1]) for m in range(16))
 _ADMISSIBLE_MASKS = frozenset(_SUPPORTS.index(s)
                               for s in ADMISSIBLE_P_SUPPORTS)
@@ -139,8 +138,8 @@ _VARIANT_TEXT = " ".join("({},{})".format(*v.positions) for v in Variant)
 
 def _r2_r3(pm: int, qm: int) -> tuple[bool, bool]:
     """The R2 and R3 verdicts for a rotor mask pm and a state mask qm."""
-    return (_POPCOUNT[pm] >= 2,
-            _POPCOUNT[pm & qm] == 1 and pm in _ADMISSIBLE_MASKS)
+    return (pm.bit_count() >= 2,
+            (pm & qm).bit_count() == 1 and pm in _ADMISSIBLE_MASKS)
 
 
 # What the law says of a state the gate admits: _LAW for a variant pair,
@@ -153,7 +152,7 @@ def _verdict_table() -> tuple[int, ...]:
     either fails, else the state's kind.  Every kind is true, so one
     lookup decides both restrictions and what the law covers."""
     kinds = [_LAW if qm in _VARIANT_MASKS
-             else _DEGENERATE if _POPCOUNT[qm] < 2 else _UNCOVERED
+             else _DEGENERATE if qm.bit_count() < 2 else _UNCOVERED
              for qm in range(16)]
     table = []
     for pm in range(16):
@@ -269,18 +268,26 @@ def _mask(q, tol: float) -> int:
             | (abs(c3) > tol) << 2 | (abs(c4) > tol) << 3)
 
 
-def _gate(p: Quat, q: BiQuat) -> tuple[float, int, int]:
+def _gate(p: Quat, q: BiQuat) -> tuple[float, int, int, int | None]:
     """The one pass over p and q behind the gate: both unit-norm checks,
-    then (R1's rotor concurrence, p's support mask, q's support mask)."""
+    then (R1's rotor concurrence, p's support mask, q's support mask, the
+    verdict).  The verdict is None when R1 fails, else the ``_VERDICT``
+    entry: 0 when R2 or R3 fails, else the state's kind.  Only a verdict
+    that is true admits p."""
     require_unit_norm(norm(p), "rotor must be a unit quaternion")
     require_unit_norm(norm_h(q), "state must be normalized")
-    return _concurrence(p), _mask(p, DEFAULT_TOL), _mask(q, DEFAULT_TOL)
+    c_p = _concurrence(p)
+    pm = _mask(p, DEFAULT_TOL)
+    qm = _mask(q, DEFAULT_TOL)
+    verdict = _VERDICT[pm << 4 | qm] if c_p <= DEFAULT_TOL else None
+    return c_p, pm, qm, verdict
 
 
-def _rejected(c_p: float, pm: int, qm: int) -> RestrictionReport:
-    """The report of a rotor that fails the gate, notes and all; only a
-    failure pays for the text."""
-    r1 = c_p <= DEFAULT_TOL
+def _rejected(c_p: float, pm: int, qm: int,
+              verdict: int | None) -> RestrictionReport:
+    """The report of a rotor that fails the gate, from the gate's four
+    values, notes and all; only a failure pays for the text."""
+    r1 = verdict is not None
     r2, r3 = _r2_r3(pm, qm)
     ps, qs = _SUPPORTS[pm], _SUPPORTS[qm]
     notes = []
@@ -289,7 +296,7 @@ def _rejected(c_p: float, pm: int, qm: int) -> RestrictionReport:
     if not r2:
         notes.append("R2: rotor is a single basis direction")
     if not r3:
-        shared = _POPCOUNT[pm & qm]
+        shared = (pm & qm).bit_count()
         if shared != 1:
             notes.append(f"R3: rotor support {sorted(ps)} shares "
                          f"{shared} directions with state support "
@@ -309,11 +316,11 @@ def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
     the two support masks alone and are read from a table built at
     import; the notes are written only for a rotor that fails.
     """
-    c_p, pm, qm = _gate(p, q)
-    if c_p <= DEFAULT_TOL and _VERDICT[pm << 4 | qm]:
-        return _new(RestrictionReport, (True, True, True, _SUPPORTS[pm],
-                                        _SUPPORTS[qm], c_p, "ok"))
-    return _rejected(c_p, pm, qm)
+    c_p, pm, qm, verdict = _gate(p, q)
+    if not verdict:
+        return _rejected(c_p, pm, qm, verdict)
+    return _new(RestrictionReport, (True, True, True, _SUPPORTS[pm],
+                                    _SUPPORTS[qm], c_p, "ok"))
 
 
 def entangle_map(p: Quat, q: BiQuat) -> BiQuat:
@@ -336,10 +343,9 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     not rejected - the map is still well defined - but the outcome's
     report notes the degeneracy since no entanglement can result.
     """
-    c_p, pm, qm = _gate(p, q)
-    verdict = _VERDICT[pm << 4 | qm]
-    if not (c_p <= DEFAULT_TOL and verdict):
-        raise RestrictionError(_rejected(c_p, pm, qm))
+    c_p, pm, qm, verdict = _gate(p, q)
+    if not verdict:
+        raise RestrictionError(_rejected(c_p, pm, qm, verdict))
     report = _new(RestrictionReport, (
         True, True, True, _SUPPORTS[pm], _SUPPORTS[qm], c_p,
         _DEGENERATE_NOTE if verdict == _DEGENERATE else "ok"))
@@ -359,10 +365,9 @@ def predicted_concurrence(p: Quat, q: BiQuat) -> float:
     outside the law, and raises ValueError instead of returning a value
     the map does not reach.
     """
-    c_p, pm, qm = _gate(p, q)
-    verdict = _VERDICT[pm << 4 | qm]
-    if not (c_p <= DEFAULT_TOL and verdict):
-        raise RestrictionError(_rejected(c_p, pm, qm))
+    c_p, pm, qm, verdict = _gate(p, q)
+    if not verdict:
+        raise RestrictionError(_rejected(c_p, pm, qm, verdict))
     if verdict != _LAW:
         if verdict == _DEGENERATE:
             return 0.0

@@ -86,10 +86,8 @@ class ExactScalar(NamedTuple):
             return ExactScalar(self.re * other, self.im * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _Rational):
-            return ExactScalar(self.re * other, self.im * other)
-        return NotImplemented
+    # A rational factor commutes, exactly.
+    __rmul__ = __mul__
 
     def conjugate(self) -> "ExactScalar":
         return ExactScalar(self.re, -self.im)

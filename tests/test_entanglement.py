@@ -505,6 +505,25 @@ def test_restriction_r1_rejects_entangled_rotor():
     assert "entangled" in report.detail
 
 
+def test_restriction_r1_alone_rejects_an_admissible_rotor():
+    # c4 = 9e-10 is inside DEFAULT_TOL, so the support is {1,3}, which R2
+    # and R3 admit; the rotor concurrence 2 * 0.6 * 9e-10 is not.
+    c = (0.6, 0.0, 0.8, 9e-10)
+    n = math.sqrt(sum(x * x for x in c))
+    p = Quat(*(x / n for x in c))
+    q = embed_state(StateAmp(I_SQRT2, -I_SQRT2, Variant.V12))
+    report = check_restrictions(p, q)
+    assert report[:5] == (False, True, True, frozenset({1, 3}),
+                          frozenset({1, 2}))
+    assert report.concurrence_p > DEFAULT_TOL
+    assert report.detail == "R1: rotor is entangled (concurrence 1.08e-09)"
+    for fn in (entangle, predicted_concurrence):
+        with pytest.raises(RestrictionError) as e:
+            fn(p, q)
+        assert e.value.report == report
+        assert str(e.value) == f"rotor rejected: {report.detail}"
+
+
 def test_restriction_r3_rejects_disjoint_support():
     p = Quat(INV_SQRT2, 0, INV_SQRT2, 0)
     q = embed_state(StateAmp(I_SQRT2, I_SQRT2, Variant.V24))

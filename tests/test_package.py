@@ -72,6 +72,15 @@ def test_lazy_submodules_are_attributes_of_a_fresh_package():
                   ) == {"exact": True, "verify": True}
 
 
+def test_all_is_the_float_modules_lists_and_the_lazy_names():
+    from biquat import biquaternion, entanglement, quaternion, rotations
+    want = [*quaternion.__all__, *biquaternion.__all__, *rotations.__all__,
+            *entanglement.__all__, *biquat._LAZY, "__version__"]
+    assert biquat.__all__ == want
+    assert len(set(want)) == len(want)
+    assert {"CONJUGATION_KINDS", "ADMISSIBLE_P_SUPPORTS"} <= set(want)
+
+
 def test_every_public_name_resolves_from_a_fresh_package():
     # A lazy name must be the very object its module binds.
     assert _fresh("import json, biquat\n"
