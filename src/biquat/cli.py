@@ -12,6 +12,14 @@ every help text, usage message and exit code is argparse's own.
 ``_DESCRIPTION``, which holds only what the table cannot say: the
 literal syntax, stdin and the exit codes.  Each command's usage is
 under ``biquat CMD --help``.
+
+Text crosses the boundary at C speed.  ``parse_biquat`` splits the
+comma form once and matches each piece against the one literal pattern,
+``_RE_COMPLEX``; only refused text is scanned again, by ``_refusal``, to
+name the piece at fault.  Every ``--json`` report with an indent is
+written by ``_json_text``, which gives ``json.dumps(obj, indent=2)``
+byte for byte without the pure-Python encoder ``json`` falls back to
+whenever an indent is set.
 """
 
 from __future__ import annotations
@@ -21,13 +29,14 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
                            _concurrence, _sandwich, check_restrictions,
                            concurrence, embed_state, entangle)
-from .quaternion import DEFAULT_TOL, Quat, polar
+from .quaternion import DEFAULT_TOL, Quat, _new, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
 
@@ -57,36 +66,33 @@ class ParseError(ValueError):
         self.position = position
 
 
-_NUM = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# One pattern for the three literal forms a, bi and a+bi: group 2 is the
-# signed imaginary part of a+bi, group 3 the "i" of bi.
-_RE_COMPLEX = re.compile(rf"({_NUM})(?:([+-]{_UNSIGNED})i|(i))?\Z")
+_GAP = r"[ \t]*"
+# The one pattern for a comma-separated piece, in the three literal forms
+# a, bi and a+bi.  Around the literal it takes the whitespace str.strip()
+# drops; inside it, spaces and tabs between a sign, a number and the "i",
+# never inside a number.  Groups: the sign and the digits of the first
+# number, the sign and the digits of the imaginary part of a+bi, and the
+# "i" of bi.  Each gap is bound to the token after it, so refused text
+# costs linear time.
+_RE_COMPLEX = re.compile(
+    rf"\s*(?:([+-]){_GAP})?({_UNSIGNED})"
+    rf"(?:{_GAP}(?:([+-]){_GAP}({_UNSIGNED}){_GAP}i|(i)))?\s*\Z")
 
 
 def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name}")
 
 
-def _parse_complex(token: str, position: int) -> complex:
-    m = _RE_COMPLEX.match(token)
-    if m is None:
-        raise ParseError(f"malformed complex literal {token!r}", position)
-    first, imag, unit = m.groups()
-    if imag is not None:
-        z = complex(float(first), float(imag))
-    elif unit is not None:
-        z = complex(0.0, float(first))
-    else:
-        z = complex(float(first), 0.0)
-    if not cmath.isfinite(z):  # 1e999 overflows to inf
-        raise ParseError("non-finite number", position)
-    return z
+# What json.loads(text, parse_constant=_reject_constant) builds on every
+# call, built once.  (json.loads also refuses a leading BOM, but such
+# text never reaches the JSON form: it does not start with "{".)
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _parse_json_biquat(text: str) -> BiQuat:
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        obj = _JSON_DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
@@ -96,10 +102,10 @@ def _parse_json_biquat(text: str) -> BiQuat:
             or len(re_) != 4 or len(im) != 4):
         raise ParseError('"re" and "im" must be arrays of 4 numbers')
     # Only JSON numbers: type() leaves out bool, a subclass of int.
-    if not all(type(x) in (int, float) for x in (*re_, *im)):
+    if not {*map(type, re_), *map(type, im)} <= {int, float}:
         raise ParseError('"re" and "im" entries must be numbers')
     try:
-        q = BiQuat(*(complex(float(r), float(i)) for r, i in zip(re_, im)))
+        q = _new(BiQuat, map(complex, map(float, re_), map(float, im)))
     except OverflowError:
         raise ParseError("non-finite number") from None
     if not all(map(cmath.isfinite, q)):
@@ -108,23 +114,52 @@ def _parse_json_biquat(text: str) -> BiQuat:
 
 
 def parse_biquat(text: str) -> BiQuat:
-    """Parse the comma-separated or JSON form of a biquaternion."""
+    """Parse the comma-separated or JSON form of a biquaternion.
+    Whitespace may stand around a literal and between its sign, number
+    and ``i``, never inside a number."""
     if text.lstrip().startswith("{"):
         return _parse_json_biquat(text)
-    pieces = []
-    start = 0
-    while True:
-        cut = text.find(",", start)
-        seg = text[start:] if cut < 0 else text[start:cut]
-        stripped = seg.strip()
-        offset = start + len(seg) - len(seg.lstrip())
-        pieces.append((stripped.replace(" ", "").replace("\t", ""), offset))
-        if cut < 0:
-            break
-        start = cut + 1
+    pieces = text.split(",")
     if len(pieces) != 4:
         raise ParseError(f"expected 4 components, found {len(pieces)}")
-    return BiQuat(*(_parse_complex(tok, off) for tok, off in pieces))
+    parts = []
+    for m in map(_RE_COMPLEX.match, pieces):
+        if m is None:
+            break
+        sign, digits, imag_sign, imag_digits, unit = m.groups()
+        x = -float(digits) if sign == "-" else float(digits)
+        if imag_digits is not None:
+            parts.append(complex(x, -float(imag_digits) if imag_sign == "-"
+                                 else float(imag_digits)))
+        else:
+            parts.append(complex(0.0, x) if unit else complex(x, 0.0))
+    else:
+        if all(map(cmath.isfinite, parts)):  # 1e999 overflows to inf
+            return _new(BiQuat, parts)
+    raise _refusal(pieces, parts)
+
+
+def _refusal(pieces: list, values: list) -> ParseError:
+    """The ParseError of the first refused piece, left to right.
+    ``values`` holds the values of the pieces before the first one
+    ``_RE_COMPLEX`` refused; the position is the piece's first non-blank
+    character."""
+    start = 0
+    for k, seg in enumerate(pieces):
+        position = start + len(seg) - len(seg.lstrip())
+        start += len(seg) + 1
+        if k < len(values):
+            if cmath.isfinite(values[k]):
+                continue
+            return ParseError("non-finite number", position)
+        stripped = seg.strip()
+        token = stripped.replace(" ", "").replace("\t", "")
+        if _RE_COMPLEX.match(token):
+            # Only spaces and tabs stand between the piece and a literal,
+            # at places where they would split a number: "1 2", "1e 3".
+            return ParseError(f"whitespace inside a number in {stripped!r}",
+                              position)
+        return ParseError(f"malformed complex literal {token!r}", position)
 
 
 def parse_quat(text: str) -> Quat:
@@ -156,6 +191,11 @@ def format_complex(c: complex) -> str:
     c = complex(c)
     if not cmath.isfinite(c):
         raise ValueError(f"non-finite complex number {c}")
+    return _literal(c)
+
+
+def _literal(c: complex) -> str:
+    # format_complex for a complex c its caller has found finite.
     if c.imag == 0.0:
         return _fmt_float(c.real)
     if c.real == 0.0:
@@ -171,7 +211,7 @@ def format_biquat(q: BiQuat, style: str = "plain") -> str:
         if not cmath.isfinite(c):
             raise ValueError(f"non-finite part c{k} = {complex(c)}")
     if style == "plain":
-        return ", ".join(format_complex(c) for c in q)
+        return ", ".join([_literal(complex(c)) for c in q])
     if style == "json":
         return json.dumps({key: [_json_num(x) for x in xs]
                            for key, xs in json_form(q).items()})
@@ -179,10 +219,95 @@ def format_biquat(q: BiQuat, style: str = "plain") -> str:
         units = ("", "î", "ĵ", "k̂")
         parts = []
         for c, u in zip(q, units):
-            lit = format_complex(c)
+            lit = _literal(complex(c))
             parts.append(f"({lit}){u}" if u else lit)
         return " + ".join(parts)
     raise ValueError(f"unknown style: {style!r}")
+
+
+def _json_float(x: float) -> str:
+    # json's float rule: NaN and the infinities by name, else repr.
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key) -> str:
+    # json's dict-key rule: a str as it is, a float, bool, None or int
+    # by its JSON text; TypeError for anything else.
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte: the same isinstance
+    order (str, None, True, False, int, float, list or tuple, dict), ASCII
+    escapes by ``encode_basestring_ascii``, keys in the dict's order, and
+    TypeError for a value or key json cannot encode.  Circular references
+    are not looked for."""
+    out = []
+    emit = out.append
+
+    def value(o, indent):
+        # indent is a newline and two spaces per enclosing container.
+        if isinstance(o, str):
+            emit(_encode_str(o))
+        elif o is None:
+            emit("null")
+        elif o is True:
+            emit("true")
+        elif o is False:
+            emit("false")
+        elif isinstance(o, int):
+            emit(int.__repr__(o))
+        elif isinstance(o, float):
+            emit(_json_float(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                emit("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in o:
+                emit(sep)
+                value(item, inner)
+                sep = "," + inner
+            emit(indent + "]")
+        elif isinstance(o, dict):
+            if not o:
+                emit("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for key, item in o.items():
+                emit(sep)
+                emit(_encode_str(_json_key(key)))
+                emit(": ")
+                value(item, inner)
+                sep = "," + inner
+            emit(indent + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+
+    value(obj, "\n")
+    return "".join(out)
 
 
 # --- command handlers -------------------------------------------------
@@ -194,19 +319,19 @@ def _cmd_entangle(ns) -> int:
         out = entangle(p, q)
     except RestrictionError as e:
         if ns.json:
-            print(json.dumps({"rejected": True,
-                              "report": e.report.to_dict()}, indent=2))
+            print(_json_text({"rejected": True,
+                              "report": e.report.to_dict()}))
         else:
-            print("rejected: " + e.report.detail)
-            _print_report(e.report)
+            _print_report(e.report, "rejected: " + e.report.detail)
         return 2
     if ns.json:
-        print(json.dumps(out.to_dict(), indent=2))
+        print(_json_text(out.to_dict()))
     else:
-        print("result: " + format_biquat(out.result))
-        print(f"concurrence before: {_fmt_float(out.concurrence_before)}")
-        print(f"concurrence after: {_fmt_float(out.concurrence_after)}")
-        _print_report(out.report)
+        before = _fmt_float(out.concurrence_before)
+        after = _fmt_float(out.concurrence_after)
+        _print_report(out.report, "result: " + format_biquat(out.result),
+                      f"concurrence before: {before}",
+                      f"concurrence after: {after}")
     return 0
 
 
@@ -220,20 +345,22 @@ def _cmd_concurrence(ns) -> int:
     return 0
 
 
-def _print_report(report) -> None:
-    for name, ok in (("R1", report.r1_pass), ("R2", report.r2_pass),
-                     ("R3", report.r3_pass)):
-        print(f"{name}: {'pass' if ok else 'FAIL'}")
-    print(f"rotor support: {sorted(report.p_support)}   "
-          f"state support: {sorted(report.q_support)}")
-    print(f"rotor concurrence: {_fmt_float(report.concurrence_p)}")
-    print(f"detail: {report.detail}")
+def _print_report(report, *head: str) -> None:
+    # The lines head, then the report, in one print.
+    r1, r2, r3 = ("pass" if ok else "FAIL" for ok in
+                  (report.r1_pass, report.r2_pass, report.r3_pass))
+    print("\n".join([
+        *head, f"R1: {r1}", f"R2: {r2}", f"R3: {r3}",
+        f"rotor support: {sorted(report.p_support)}   "
+        f"state support: {sorted(report.q_support)}",
+        f"rotor concurrence: {_fmt_float(report.concurrence_p)}",
+        f"detail: {report.detail}"]))
 
 
 def _cmd_check(ns) -> int:
     report = check_restrictions(parse_quat(ns.p), parse_biquat(ns.q))
     if ns.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(_json_text(report.to_dict()))
     else:
         _print_report(report)
     return 0 if report.passed else 2
@@ -260,8 +387,7 @@ def _cmd_rotate(ns) -> int:
         raise ValueError("non-finite result: the float computation "
                          "overflowed")
     if ns.json:
-        print(json.dumps({"map": kind, "result": json_form(result)},
-                         indent=2))
+        print(_json_text({"map": kind, "result": json_form(result)}))
     else:
         print(format_biquat(result))
     return 0
@@ -270,31 +396,30 @@ def _cmd_rotate(ns) -> int:
 def _cmd_polar(ns) -> int:
     form = polar(parse_quat(ns.value))
     if ns.json:
-        print(json.dumps({"magnitude": form.magnitude,
+        print(_json_text({"magnitude": form.magnitude,
                           "axis": list(form.axis),
                           "angle": form.angle,
-                          "degenerate": form.degenerate}, indent=2))
+                          "degenerate": form.degenerate}))
     else:
-        print(f"magnitude: {_fmt_float(form.magnitude)}")
-        print(f"angle: {_fmt_float(form.angle)}")
-        print("axis: " + ", ".join(_fmt_float(a) for a in form.axis))
-        print(f"degenerate: {'yes' if form.degenerate else 'no'}")
+        axis = ", ".join([_fmt_float(a) for a in form.axis])
+        print(f"magnitude: {_fmt_float(form.magnitude)}\n"
+              f"angle: {_fmt_float(form.angle)}\n"
+              f"axis: {axis}\n"
+              f"degenerate: {'yes' if form.degenerate else 'no'}")
     return 0
 
 
 def _cmd_verify_theorem(ns) -> int:
     from . import verify  # the exact route loads only to verify
     report = verify.verify_theorem(samples=ns.samples, seed=ns.seed)
-    print(json.dumps(report.to_dict(), indent=2) if ns.json
-          else report.to_text())
+    print(_json_text(report.to_dict()) if ns.json else report.to_text())
     return 0 if report.all_pass else 3
 
 
 def _cmd_verify_examples(ns) -> int:
     from . import verify
     report = verify.verify_examples()
-    print(json.dumps(report.to_dict(), indent=2) if ns.json
-          else report.to_text())
+    print(_json_text(report.to_dict()) if ns.json else report.to_text())
     return 0 if report.all_pass else 3
 
 
@@ -311,28 +436,32 @@ def _cmd_sweep(ns) -> int:
     rotors = [(Quat(ai, 0.0, aj, 0.0), repr(ai), repr(aj))
               for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]
 
-    out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
-    rows = 0
+    rows = len(mix) * len(phase) ** 2 * len(rotors)
     maximal = 0
-    try:
-        w = csv.writer(out)
-        w.writerow(["alpha", "beta", "a_i", "a_j", "concurrence", "maximal"])
+
+    def sweep_rows():
+        nonlocal maximal
         for tq in mix:
             ma, mb = math.cos(tq), math.sin(tq)
+            betas = [mb * complex(math.cos(pb), math.sin(pb)) for pb in phase]
+            beta_texts = [format_complex(beta) for beta in betas]
             for pa in phase:
                 alpha = ma * complex(math.cos(pa), math.sin(pa))
                 alpha_text = format_complex(alpha)
-                for pb in phase:
-                    beta = mb * complex(math.cos(pb), math.sin(pb))
+                for beta, beta_text in zip(betas, beta_texts):
                     qv = embed_state(StateAmp(alpha, beta, Variant.V12))
-                    beta_text = format_complex(beta)
                     for p, ai_text, aj_text in rotors:
                         c = _concurrence(_sandwich(p, qv))
                         is_max = c >= 1.0 - DEFAULT_TOL
-                        w.writerow([alpha_text, beta_text, ai_text, aj_text,
-                                    repr(c), 1 if is_max else 0])
-                        rows += 1
                         maximal += is_max
+                        yield (alpha_text, beta_text, ai_text, aj_text,
+                               repr(c), 1 if is_max else 0)
+
+    out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
+    try:
+        w = csv.writer(out)
+        w.writerow(["alpha", "beta", "a_i", "a_j", "concurrence", "maximal"])
+        w.writerows(sweep_rows())  # streamed: no N^4 list in memory
     finally:
         if out is not sys.stdout:
             out.close()

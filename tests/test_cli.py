@@ -17,6 +17,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -96,10 +97,12 @@ def _reference_literal(token):
     return None
 
 
+# Literals without whitespace; test_parse_places_whitespace_by_the_gap_rule
+# puts blanks around and inside them.
 _literal_tokens = st.one_of(
     st.from_regex("|".join(f"(?:{form})" for form in _REF_FORMS),
                   fullmatch=True),
-    st.text(alphabet="0123456789.eE+-ij ", max_size=16),
+    st.text(alphabet="0123456789.eE+-ij", max_size=16),
 )
 
 
@@ -108,18 +111,116 @@ def test_complex_literal_grammar_equals_the_three_pattern_union(token):
     want = _reference_literal(token)
     assert (cli._RE_COMPLEX.match(token) is None) == (want is None)
     try:
-        got = cli._parse_complex(token, 7)
+        got = parse_biquat("0,0,0," + token)[3]
     except ParseError as e:
         got = (str(e), e.position)
     if want is None:
         assert got == (f"malformed complex literal {token!r} "
-                       f"(at position 7)", 7)
+                       f"(at position 6)", 6)
         return
     z = complex(float(want[0]), float(want[1]))
     if cmath.isfinite(z):
         assert repr(got) == repr(z)
     else:
-        assert got == ("non-finite number (at position 7)", 7)
+        assert got == ("non-finite number (at position 6)", 6)
+
+
+@st.composite
+def _blanked_piece(draw):
+    """(text, value, split, lead): one literal of the form a, bi or a+bi,
+    with whitespace before and after it and blanks at its gaps.  ``split``
+    is True when a blank was put inside a number, ``lead`` is the length
+    of the whitespace before the literal."""
+    number = st.from_regex(_UNSIGNED, fullmatch=True)
+    sign = draw(st.sampled_from(("", "+", "-")))
+    first = draw(number)
+    tokens = [sign, first] if sign else [first]
+    x = float(sign + first)
+    form = draw(st.sampled_from(("a", "bi", "a+bi")))
+    if form == "a":
+        value = complex(x, 0.0)
+    elif form == "bi":
+        tokens.append("i")
+        value = complex(0.0, x)
+    else:
+        imag_sign, imag = draw(st.sampled_from("+-")), draw(number)
+        tokens += [imag_sign, imag, "i"]
+        value = complex(x, float(imag_sign + imag))
+    split = False
+    long_numbers = [k for k, t in enumerate(tokens) if len(t) > 1]
+    if long_numbers and draw(st.booleans()):
+        k = draw(st.sampled_from(long_numbers))
+        cut = draw(st.integers(1, len(tokens[k]) - 1))
+        blank = draw(st.sampled_from((" ", "\t", " \t ")))
+        tokens[k] = tokens[k][:cut] + blank + tokens[k][cut:]
+        split = True
+    gap = st.text(" \t", max_size=2)
+    lead = draw(st.text(" \t\n\x0b\u3000", max_size=2))
+    text = lead + tokens[0]
+    for t in tokens[1:]:
+        text += draw(gap) + t
+    text += draw(st.text(" \t\n\u3000", max_size=2))
+    return text, value, split, len(lead)
+
+
+@settings(max_examples=300)
+@given(st.lists(_blanked_piece(), min_size=4, max_size=4))
+def test_parse_places_whitespace_by_the_gap_rule(pieces):
+    # Blanks may stand around a literal and between a sign, a number and
+    # the i; a blank inside a number (digits, point or exponent) refuses
+    # the text at that piece's first non-blank character.
+    text = ",".join(t for t, _, _, _ in pieces)
+    want = None
+    start = 0
+    for t, value, split, lead in pieces:
+        if split:
+            want = (f"whitespace inside a number in {t.strip()!r}",
+                    start + lead)
+            break
+        if not cmath.isfinite(value):  # a long exponent overflows
+            want = ("non-finite number", start + lead)
+            break
+        start += len(t) + 1
+    try:
+        got = parse_biquat(text)
+    except ParseError as e:
+        assert want is not None, text
+        assert (str(e), e.position) == (
+            f"{want[0]} (at position {want[1]})", want[1]), text
+        return
+    assert want is None, text
+    assert repr(got) == repr(BiQuat(*(v for _, v, _, _ in pieces)))
+
+
+@pytest.mark.parametrize("text,value", [
+    (" 1 , 2 , 3 , 4 ", BiQuat(1, 2, 3, 4)),
+    ("0.5 + 0.5 i, 0, 0, 0", BiQuat(0.5 + 0.5j, 0, 0, 0)),
+    ("- 1, 0, 0, 0", BiQuat(-1, 0, 0, 0)),
+    ("1 -2i, 0, 0, 0", BiQuat(1 - 2j, 0, 0, 0)),
+    ("\t-\t2 \t i, + 3, 0 - .5 i, 4e1 +1E-1i",
+     BiQuat(-2j, 3, -0.5j, 40 + 0.1j)),
+])
+def test_parse_takes_blanks_between_sign_number_and_i(text, value):
+    assert parse_biquat(text) == value
+
+
+@pytest.mark.parametrize("text,piece,position", [
+    ("1 2, 0, 0, 0", "1 2", 0),
+    ("1\t5, 0, 0, 0", "1\t5", 0),
+    ("1e 3, 0, 0, 0", "1e 3", 0),
+    ("0, 0.5+0. 5i, 0, 0", "0.5+0. 5i", 3),
+    ("0, 0, 0,  1 .5i", "1 .5i", 10),
+])
+def test_whitespace_inside_a_number_is_a_parse_error(text, piece, position):
+    # Whitespace never glues digits together: "1 2" is not 12.
+    with pytest.raises(ParseError) as err:
+        parse_biquat(text)
+    assert str(err.value) == (f"whitespace inside a number in {piece!r} "
+                              f"(at position {position})")
+    assert err.value.position == position
+    code, out, err_text = run_cli(["concurrence", text])
+    assert (code, out) == (1, "")
+    assert err_text == f"biquat: parse error: {err.value}\n"
 
 
 def test_parse_json_errors():
@@ -274,6 +375,86 @@ def test_parse_format_roundtrip():
         q = BiQuat(*parts)
         assert parse_biquat(format_biquat(q, "plain")) == q
         assert parse_biquat(format_biquat(q, "json")) == q
+
+
+# --- the indented JSON writer --------------------------------------------
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-10 ** 40, 10 ** 40),
+    st.floats(), st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf,
+                                  5e-324, 1.7976931348623157e308)),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.text(st.characters(min_codepoint=0x7f)),
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(_Pair, inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_json_trees)
+def test_json_writer_equals_json_dumps_with_indent(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a", 2.5: "b", True: "c", False: "d", None: "e", -0.0: "f",
+     math.inf: "g", 10 ** 30: "h"},
+    {"nested": {"empty": {}, "list": [], "tuple": ()}},
+    "top-level \u00e9 string", 7, -0.0, math.nan, None, True,
+])
+def test_json_writer_keys_and_top_level_values(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {"a": 1j}, [1, {2, 3}], {(1, 2): 0}, {"a": [b"x"]},
+])
+def test_json_writer_raises_type_error_where_json_does(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(obj)
+    assert str(got.value) == str(want.value)
+
+
+_S_TEXT = repr(INV_SQRT2)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["entangle", "--p", f"{_S_TEXT}, 0, {_S_TEXT}, 0",
+      "--q", f"{_S_TEXT}i, -{_S_TEXT}i, 0, 0"], 0),
+    (["entangle", "--p", "0.5, 0.5, 0.5, 0.5",
+      "--q", f"{_S_TEXT}i, -{_S_TEXT}i, 0, 0"], 2),
+    (["check", "--p", "0, 1, 0, 0", "--q", "1, 0, 0, 0"], 2),
+    (["rotate", "--map", "psi", "--q", "0.5, 0.5, 0.5, 0.5",
+      "--x", "1, 0.5i, -2, 1+1i"], 0),
+    (["polar", "0.5, -1, 2, 0.25"], 0),
+    (["verify-theorem", "--samples", "3"], 0),
+    (["verify-examples"], 0),
+])
+def test_every_indented_json_report_is_json_dumps_layout(monkeypatch, argv,
+                                                         code):
+    seen = []
+    writer = cli._json_text
+    monkeypatch.setattr(cli, "_json_text",
+                        lambda obj: seen.append(obj) or writer(obj))
+    got_code, out, err = run_cli(["--json", *argv])
+    assert (got_code, err) == (code, "")
+    assert len(seen) == 1
+    assert out == json.dumps(seen[0], indent=2) + "\n"
 
 
 # --- subcommands ------------------------------------------------------------
@@ -839,7 +1020,8 @@ def test_reader_reads_every_documented_and_golden_argv():
 
     readme = _readme_argvs()
     assert {argv[0] for argv in readme} == set(cli._COMMANDS)
-    for argv in [*readme, *GOLDEN.values(), *_WELL_FORMED]:
+    golden = [argv for argv, _ in GOLDEN.values()]
+    for argv in [*readme, *golden, *_WELL_FORMED]:
         for form in (argv, ["--json", *argv], [*argv, "--json"]):
             got = cli._read_argv(form)
             assert got is not None, form

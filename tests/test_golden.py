@@ -48,13 +48,24 @@ _COMMANDS = {
     "rotate-mu": ["rotate", "--map", "mu",
                   "--q", "1.1276259652063807, 0, 0, 0.5210953054937474i",
                   "--x", "0.3, 1, 0.5i, -1-0.25i"],
+    "polar": ["polar", "0.5, -1, 2, 0.25"],
+    "concurrence": ["concurrence", f"{_S}, 0, 0, {_S}i"],
+    # The two rejections, exit code 2: a rotor whose support {1, 2}
+    # shares two directions with the state's (R3), and the README's
+    # single-direction rotor (R2 and R3).
+    "entangle-rejected": (["entangle", "--p", f"{_S}, {_S}, 0, 0",
+                           "--q", f"{_S}i, -{_S}i, 0, 0"], 2),
+    "check-rejected": (["check", "--p", "0, 1, 0, 0", "--q", "1, 0, 0, 0"],
+                       2),
 }
 
-# file name -> argv; every command with and without --json.
+# file name -> (argv, exit code); every command with and without --json.
+# A _COMMANDS entry is an argv, exit code 0, or an (argv, code) pair.
 GOLDEN = {}
-for _name, _argv in _COMMANDS.items():
-    GOLDEN[f"{_name}.txt"] = _argv
-    GOLDEN[f"{_name}.json.txt"] = ["--json", *_argv]
+for _name, _entry in _COMMANDS.items():
+    _argv, _code = _entry if isinstance(_entry, tuple) else (_entry, 0)
+    GOLDEN[f"{_name}.txt"] = (_argv, _code)
+    GOLDEN[f"{_name}.json.txt"] = (["--json", *_argv], _code)
 
 
 def _run(argv):
@@ -72,15 +83,17 @@ def test_golden_directory_holds_exactly_the_table():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_file(name):
-    code, out, err = _run(GOLDEN[name])
-    assert (code, err) == (0, "")
+    argv, want_code = GOLDEN[name]
+    code, out, err = _run(argv)
+    assert (code, err) == (want_code, "")
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in GOLDEN.items():
+    for name, (argv, want_code) in GOLDEN.items():
         code, out, err = _run(argv)
-        if code or err:
-            sys.exit(f"{name}: exit {code}, stderr {err!r}")
+        if code != want_code or err:
+            sys.exit(f"{name}: exit {code} (want {want_code}), "
+                     f"stderr {err!r}")
         (GOLDEN_DIR / name).write_bytes(out.encode())
