@@ -1,17 +1,8 @@
 """Command-line interface: the ``biquat`` entry point.
 
-The grammar is written once, in ``_COMMANDS``.  ``_read_argv`` reads a
-well-formed argv from that table without loading argparse: leading
-``--json`` flags, a command name, exact option names each followed by a
-plain value, at most one positional, and ``--json`` anywhere after the
-command.  It declines anything else (help, abbreviations, the ``=`` and
-``--`` forms, unknown tokens, usage errors) and ``main`` hands that argv
-to the argparse parser ``build_parser`` makes from the same table, so
-every help text, usage message and exit code is argparse's own.
-``biquat --help`` lists the commands from the same table, after
-``_DESCRIPTION``, which holds only what the table cannot say: the
-literal syntax, stdin and the exit codes.  Each command's usage is
-under ``biquat CMD --help``.
+The grammar is written once, in ``_COMMANDS``: ``_read_argv`` reads
+every argv from it, and ``_help`` writes the help and usage text from it
+and from ``_DESCRIPTION``, which holds what the table cannot say.
 
 Text crosses the boundary at C speed.  ``parse_biquat`` splits the
 comma form once and matches each piece against the one literal pattern,
@@ -41,19 +32,17 @@ from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
 
 __all__ = ["ParseError", "parse_biquat", "parse_quat", "format_biquat",
-           "format_complex", "build_parser", "main"]
+           "format_complex", "main"]
 
-_DESCRIPTION = """Command-line interface.
-
+_DESCRIPTION = """\
 A biquaternion is written as four comma-separated complex literals
 ("0.5+0.5i, -0.5i, 0, 1"), or as a JSON object {"re": [...], "im":
-[...]}; a quaternion is the same with real entries.  `-` makes
-``concurrence`` read its argument from stdin.  ``--json`` switches any
-command to structured output.
+[...]}; a quaternion is the same with real entries.  "-" makes
+concurrence read its argument from stdin.  --json switches any command
+to structured output.
 
 Exit codes: 0 success, 1 parse or usage error, 2 restriction rejection,
-3 verification failure.
-"""
+3 verification failure."""
 
 
 class ParseError(ValueError):
@@ -473,10 +462,10 @@ def _cmd_sweep(ns) -> int:
     return 0
 
 
-# The command grammar, the one source of build_parser and _read_argv:
-# name -> (help, arguments), each argument a name and the keywords
-# add_argument takes.  A name without the "--" prefix is the positional.
-# Every command also takes --json, and its handler is _handler_name(name).
+# The command grammar: name -> (help, arguments), each argument a name
+# and its add_argument keywords; a name without "--" is the positional.
+# Every command also takes -h/--help and --json.  main finds the handler,
+# "_cmd_" + the name with "_" for "-", at call time, so a rebinding counts.
 _COMMANDS = {
     "entangle": ("run the checked entangling map", (
         ("--p", {"required": True, "metavar": "QUAT",
@@ -489,8 +478,8 @@ _COMMANDS = {
         ("--p", {"required": True, "metavar": "QUAT"}),
         ("--q", {"required": True, "metavar": "BIQUAT"}))),
     "rotate": ("apply a rotation map", (
-        ("--map", {"required": True, "choices": ("left", "right", "conj",
-                                                 "psi", "lorentz", "mu")}),
+        ("--map", {"required": True, "metavar": "MAP", "choices": (
+            "left", "right", "conj", "psi", "lorentz", "mu")}),
         ("--q", {"required": True, "metavar": "(BI)QUAT"}),
         ("--x", {"required": True, "metavar": "(BI)QUAT"}))),
     "polar": ("polar decomposition of a quaternion", (
@@ -513,136 +502,146 @@ _COMMANDS = {
 }
 
 
-def _handler_name(command: str) -> str:
-    return "_cmd_" + command.replace("-", "_")
-
-
-def build_parser():
-    """A fresh ``argparse.ArgumentParser`` for the grammar in
-    ``_COMMANDS``."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        # Usage problems are exit code 1 here, not argparse's default 2.
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
-
-    top = _Parser(prog="biquat", description=_DESCRIPTION,
-                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    top.add_argument("--json", action="store_true", default=False,
-                     help="structured JSON output")
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_, arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
-        # The flag works in both positions; SUPPRESS keeps a subcommand
-        # occurrence from clobbering one given before the command name.
-        p.add_argument("--json", action="store_true",
-                       default=argparse.SUPPRESS)
-        for flag, keywords in arguments:
-            p.add_argument(flag, **keywords)
-    return top
-
-
 def _reader_grammar():
-    """name -> (the namespace entries every argv of the command gets,
-    option -> (dest, type, choices), required dests, positional dest)."""
-    grammar = {}
+    """command (None: the top level) -> (defaults, option -> entry, the
+    arguments' entries, each required unless defaulted, the positional's
+    entry); an entry is (dest, name, type, choices)."""
+    flags = {"--json": ("json", "--json", None, None)}
+    flags["-h"] = flags["--help"] = ("help", "-h/--help", None, None)
+    command = ("command", "command", None, tuple(_COMMANDS))
+    grammar = {None: ({}, flags, (command,), command)}
     for name, (_, arguments) in _COMMANDS.items():
-        fixed = {"command": name}
-        options, required, positional = {}, [], None
+        defaults, options, entries, positional = {}, dict(flags), [], None
         for flag, keywords in arguments:
             if flag.startswith("--"):
-                dest = flag[2:]
-                options[flag] = (dest, keywords.get("type"),
-                                 keywords.get("choices"))
-                if keywords.get("required"):
-                    required.append(dest)
-                else:
-                    fixed[dest] = keywords.get("default")
+                entry = options[flag] = (flag[2:], flag, keywords.get("type"),
+                                         keywords.get("choices"))
+                if not keywords.get("required"):
+                    defaults[flag[2:]] = keywords.get("default")
             else:
-                positional = flag
-                required.append(flag)
-        grammar[name] = (fixed, options, tuple(required), positional)
+                entry = positional = (flag, keywords["metavar"], None, None)
+            entries.append(entry)
+        grammar[name] = (defaults, options, tuple(entries), positional)
     return grammar
 
 
 _GRAMMAR = _reader_grammar()
 
 
-def _read_argv(argv):
-    """``vars(build_parser().parse_args(argv))`` for an argv in the exact
-    grammar, read without argparse; None for any other argv."""
-    n = len(argv)
-    i = 0
-    while i < n and argv[i] == "--json":
-        i += 1
-    if i == n or argv[i] not in _GRAMMAR:
-        return None
-    fixed, options, required, positional = _GRAMMAR[argv[i]]
-    ns = dict(fixed, json=i > 0)
-    i += 1
-    while i < n:
-        token = argv[i]
-        i += 1
-        if token == "--json":
+class _Stop(Exception):
+    """args: the namespace read so far, and the usage error (None: help)."""
+
+
+def _read_argv(argv) -> dict:
+    """The namespace of ``argv``: ``command``, ``json`` and the command's
+    arguments.  Before the first ``--``, ``-h`` or a ``--help`` form asks
+    for help, ``--json`` may stand anywhere, and ``--name value`` or
+    ``--name=value`` sets an option by its name or a unique prefix, the
+    value being the next token unless that is ``-h`` or ``--``-led.  Any
+    other token, ``-1,0,0,0`` say, and every token after the first
+    ``--`` is positional: the command, then its own.  Reading left to
+    right, _Stop(ns, error) ends at help or the first usage error, but
+    unrecognized and missing arguments are reported at the end."""
+    _, options, arguments, positional = _GRAMMAR[None]
+    ns = {"json": False}
+    extras, literal = [], False  # literal: after the first "--"
+    tokens = iter(argv)
+    for token in tokens:
+        value = None
+        option = None if literal else options.get(token)
+        if option is None and not literal and token[:2] == "--":
+            if token == "--":
+                literal = True
+                continue
+            name, eq, value = token.partition("=")
+            found = ([name] if name in options
+                     else [flag for flag in options if flag.startswith(name)])
+            if len(found) > 1:
+                raise _Stop(ns, f"ambiguous option: {token} could "
+                                f"match {', '.join(found)}")
+            if not found:
+                extras.append(token)
+                continue
+            option, value = options[found[0]], (value if eq else None)
+        if option is None:
+            if positional is None or positional[0] in ns:
+                extras.append(token)
+                continue
+            option, value = positional, token
+        dest, name, convert, choices = option
+        if dest == "help" or dest == "json":  # the flags take no value
+            if value is not None:
+                raise _Stop(ns, f"argument {name}: ignored explicit "
+                                f"argument {value!r}")
+            if dest == "help":
+                raise _Stop(ns, None)
             ns["json"] = True
             continue
-        option = options.get(token)
-        if option is not None:
-            if i == n:
-                return None
-            dest, convert, choices = option
-            token = argv[i]
-            i += 1
-        elif positional is None or positional in ns:
-            return None
-        else:
-            dest, convert, choices = positional, None, None
-        # argparse (3.10-3.13) reads a token starting with "-" as a value
-        # only when it is "-" alone or holds a space, and it reads "-h..."
-        # as -h with an attached argument; "--" and "=" forms are left to
-        # it as well.
-        if (token[:1] == "-" and token != "-"
-                and (token[1] in "-h" or " " not in token or "=" in token)):
-            return None
+        if value is None:
+            value = next(tokens, None)
+            if value is None or value[:2] == "--" or value == "-h":
+                raise _Stop(ns, f"argument {name}: expected one argument")
         if convert is not None:
             try:
-                token = convert(token)
+                value = convert(value)
             except ValueError:
-                return None
-        if choices is not None and token not in choices:
-            return None
-        ns[dest] = token
-    for dest in required:
-        if dest not in ns:
-            return None
+                raise _Stop(ns, f"argument {name}: invalid {convert.__name__} "
+                                f"value: {value!r}") from None
+        if choices is not None and value not in choices:
+            raise _Stop(ns, f"argument {name}: invalid choice: {value!r} "
+                            f"(choose from {', '.join(map(repr, choices))})")
+        ns[dest] = value
+        if dest == "command":
+            defaults, options, arguments, positional = _GRAMMAR[value]
+            ns.update(defaults)
+    missing = [name for dest, name, _, _ in arguments if dest not in ns]
+    if missing:
+        raise _Stop(ns, "the following arguments are required: "
+                        + ", ".join(missing))
+    if extras:
+        raise _Stop(ns, "unrecognized arguments: " + " ".join(extras))
     return ns
 
 
-# The parser main() reuses for the life of the process, built the first
-# time _read_argv declines an argv.  parse_args leaves a parser
-# unchanged, so sharing it cannot be seen.  main looks the handler up
-# by command name on every call, so a later rebinding of a handler in
-# this module is still called.
-_parser = None
+def _help(command, error=None) -> str:
+    """The text ``--help`` prints for a command (None: the top level),
+    or, for a usage error, its usage line and the error."""
+    if command is None:
+        usage, about = "[-h] [--json] COMMAND ...", _DESCRIPTION
+        title, rows = "commands", [(name, help_) for name, (help_, _)
+                                   in _COMMANDS.items()]
+    else:
+        about, arguments = _COMMANDS[command]
+        usage, title = f"{command} [-h] [--json]", "arguments"
+        rows = [("--json", "structured JSON output")]
+        for flag, keywords in arguments:
+            shown = keywords.get("metavar", flag[2:].upper())
+            if flag.startswith("--"):
+                shown = f"{flag} {shown}"
+            choices = keywords.get("choices")
+            rows.append((shown, f"one of {', '.join(choices)}" if choices
+                         else keywords.get("help", "")))
+            optional = flag.startswith("--") and not keywords.get("required")
+            usage += f" [{shown}]" if optional else f" {shown}"
+    if error is not None:
+        return (f"usage: biquat {usage}\n"
+                f"biquat{' ' + command if command else ''}: error: {error}")
+    width = max(len(left) for left, _ in rows)
+    return f"usage: biquat {usage}\n\n{about}\n\n{title}:" + "".join(
+        [f"\n  {left:<{width}}  {text}".rstrip() for left, text in rows])
 
 
 def main(argv=None) -> int:
-    global _parser
-    argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _read_argv(argv)
-    if ns is not None:
-        args = SimpleNamespace(**ns)
-    else:
-        if _parser is None:
-            _parser = build_parser()
-        try:
-            args = _parser.parse_args(argv)
-        except SystemExit as e:
-            return e.code if isinstance(e.code, int) else 1
     try:
-        return globals()[_handler_name(args.command)](args)
+        ns = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _Stop as stop:
+        so_far, error = stop.args
+        print(_help(so_far.get("command"), error),
+              file=sys.stdout if error is None else sys.stderr)
+        return 0 if error is None else 1
+    try:
+        return globals()["_cmd_" + ns["command"].replace("-", "_")](
+            SimpleNamespace(**ns))
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1

@@ -57,6 +57,10 @@ _COMMANDS = {
                            "--q", f"{_S}i, -{_S}i, 0, 0"], 2),
     "check-rejected": (["check", "--p", "0, 1, 0, 0", "--q", "1, 0, 0, 0"],
                        2),
+    # The help, written from the command table: the top level and one
+    # command.
+    "help": ["--help"],
+    "rotate-help": ["rotate", "--help"],
 }
 
 # file name -> (argv, exit code); every command with and without --json.

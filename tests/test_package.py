@@ -43,21 +43,21 @@ def test_cli_import_loads_only_the_float_route():
     assert _loaded_after("import biquat.cli", absent + present) == present
 
 
-def test_cli_main_loads_argparse_only_for_argv_it_hands_over():
-    # A well-formed argv is read from the command table; "bogus" is a
-    # usage error, which argparse reports.
+def test_cli_main_never_loads_argparse():
+    # The command table's reader answers a well-formed argv, a help
+    # request and a usage error alike.
     assert _fresh(
         "import io, json, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"
         "from biquat.cli import main\n"
         "got = []\n"
         "for argv in (['entangle', '--p', '0.6, 0, 0.8, 0',\n"
-        "              '--q', '0.6i, -0.8i, 0, 0'], ['bogus']):\n"
+        "              '--q', '0.6i, -0.8i, 0, 0'], ['--help'], ['bogus']):\n"
         "    with redirect_stdout(io.StringIO()), "
         "redirect_stderr(io.StringIO()):\n"
         "        code = main(argv)\n"
         "    got.append([code, 'argparse' in sys.modules])\n"
-        "print(json.dumps(got))") == [[0, False], [1, True]]
+        "print(json.dumps(got))") == [[0, False], [0, False], [1, False]]
 
 
 def test_exact_import_loads_no_verifier():
