@@ -16,10 +16,10 @@ between the two is evidence, not tautology.
 
 Coordinates are held as integer numerators over one denominator.  The
 hot paths are fixed-arity straight-line code over the eight coordinates,
-with no per-coordinate loop: the constructor unpacks eight
-``(numerator, denominator)`` pairs, takes one lcm and writes the scaled
-numerators as one tuple; it reads a ``Fraction`` or ``int`` input as its
-own integer ratio and converts every other type through ``Fraction``.
+with no per-coordinate loop: the constructor reads eight ratios, takes
+one lcm and writes the scaled numerators as one tuple.  It reads eight
+``Fraction`` inputs from their slots, and any other mix through
+``_ratio``, the one coordinate reader, which ``verify`` shares.
 ``_reduced`` takes one gcd.  Each conjugation is one tuple display,
 generated at import from ``_CONJ_FLIPS``, the table of the coordinates
 it negates.  ``str`` prints the text of the ``Fraction`` coordinates
@@ -160,12 +160,22 @@ class ExactBiQuat:
     def __init__(self, coords):
         if len(coords) != 8:
             raise ValueError("ExactBiQuat needs exactly 8 coordinates")
-        # A Fraction or int already is a reduced ratio; only other types
-        # (bool and subclasses included) are converted through Fraction.
-        ((n0, d0), (n1, d1), (n2, d2), (n3, d3),
-         (n4, d4), (n5, d5), (n6, d6), (n7, d7)) = [
-            (c if type(c) is Fraction or type(c) is int
-             else Fraction(c)).as_integer_ratio() for c in coords]
+        c0, c1, c2, c3, c4, c5, c6, c7 = coords
+        # Eight Fractions are read from their slots, with no call each.
+        if (type(c0) is Fraction and type(c1) is Fraction
+                and type(c2) is Fraction and type(c3) is Fraction
+                and type(c4) is Fraction and type(c5) is Fraction
+                and type(c6) is Fraction and type(c7) is Fraction):
+            n0, n1, n2, n3, n4, n5, n6, n7 = (
+                c0._numerator, c1._numerator, c2._numerator, c3._numerator,
+                c4._numerator, c5._numerator, c6._numerator, c7._numerator)
+            d0, d1, d2, d3, d4, d5, d6, d7 = (
+                c0._denominator, c1._denominator, c2._denominator,
+                c3._denominator, c4._denominator, c5._denominator,
+                c6._denominator, c7._denominator)
+        else:
+            ((n0, d0), (n1, d1), (n2, d2), (n3, d3),
+             (n4, d4), (n5, d5), (n6, d6), (n7, d7)) = map(_ratio, coords)
         den = math.lcm(d0, d1, d2, d3, d4, d5, d6, d7)
         # The lcm of reduced denominators is the least common one, so
         # no further reduction is needed.
@@ -214,9 +224,9 @@ class ExactBiQuat:
     def to_floats(self) -> tuple[complex, complex, complex, complex]:
         # int / int true division is correctly rounded, as float(Fraction)
         # is, so every value converts to the same bits.
-        n, d = self.nums, self.den
-        return (complex(n[0] / d, n[4] / d), complex(n[1] / d, n[5] / d),
-                complex(n[2] / d, n[6] / d), complex(n[3] / d, n[7] / d))
+        (n0, n1, n2, n3, n4, n5, n6, n7), d = self.nums, self.den
+        return (complex(n0 / d, n4 / d), complex(n1 / d, n5 / d),
+                complex(n2 / d, n6 / d), complex(n3 / d, n7 / d))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactBiQuat is immutable")
@@ -259,6 +269,15 @@ class ExactBiQuat:
         n, d = self.nums, self.den
         return "(" + ", ".join(_complex_text(n[k], n[k + 4], d)
                                for k in range(4)) + ")"
+
+
+def _ratio(c) -> tuple[int, int]:
+    """Reduced (numerator, positive denominator) of one coordinate: an int
+    is its own ratio, any other type goes through ``Fraction``."""
+    if type(c) is int:
+        return c, 1
+    f = c if type(c) is Fraction else Fraction(c)
+    return f._numerator, f._denominator
 
 
 def _ratio_text(n: int, d: int) -> str:
@@ -393,7 +412,7 @@ _CONJUGATIONS = _generate_conjugations(_CONJ_FLIPS)
 def exact_conj(x: ExactBiQuat, kind: str) -> ExactBiQuat:
     try:
         conj = _CONJUGATIONS[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown conjugation kind: {kind!r}") from None
     return conj(x)
 
@@ -431,16 +450,20 @@ def random_exact_biquat(rng: random.Random, limit: int = 97,
                         dyadic: bool = False) -> ExactBiQuat:
     """Eight ``random_dyadic`` (or ``random_rational``) draws, as integers.
 
-    ``randrange(a, b + 1)`` is what ``randint(a, b)`` calls, so the
-    stream of ``rng`` is consumed exactly as by those eight draws.
+    Each draw repeats ``getrandbits`` until below the range's width, as
+    ``Random.randint`` does (3.10-3.13): same values, same stream.
     """
-    draw = rng.randrange
-    if dyadic:
-        top = _DYADIC_MAX_POWER + 1
-        pairs = [(draw(-limit, limit + 1), 1 << draw(0, top))
-                 for _ in range(8)]
-    else:
-        pairs = [(draw(-limit, limit + 1), draw(1, limit + 1))
-                 for _ in range(8)]
+    bits, span = rng.getrandbits, 2 * operator.index(limit) + 1
+    top = _DYADIC_MAX_POWER + 1 if dyadic else limit
+    if span < 1 or top < 1:
+        raise ValueError(f"empty range for limit {limit!r}")
+    ks, kt = span.bit_length(), top.bit_length()
+    pairs = []
+    for _ in range(8):
+        while (n := bits(ks)) >= span:
+            pass
+        while (d := bits(kt)) >= top:
+            pass
+        pairs.append((n - limit, 1 << d if dyadic else d + 1))
     den = math.lcm(*(d for _, d in pairs))
     return _reduced([n * (den // d) for n, d in pairs], den)

@@ -41,13 +41,13 @@ import ast
 import functools
 import math
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
                            _concurrence, _sandwich, embed_state, place_pair)
-from .exact import ExactBiQuat, ExactScalar, oracle_mul, random_rational
+from .exact import (ExactBiQuat, ExactScalar, _ratio, oracle_mul,
+                    random_rational)
 from .quaternion import Quat
 
 __all__ = [
@@ -76,14 +76,6 @@ LAW_TOL = 1e-10
 _TABLE_NOTE = ("bare alpha/beta entries in the reference forms carry an "
                "implicit (a_i^2 + a_j^2) factor, restored here so each "
                "identity is polynomial")
-
-
-def _ratio(x) -> tuple[int, int]:
-    # As ExactBiQuat reads a coordinate: an int or Fraction is its own
-    # reduced ratio, every other type goes through Fraction.
-    if type(x) is not int and type(x) is not Fraction:
-        x = Fraction(x)
-    return x.as_integer_ratio()
 
 
 class _FormWriter:

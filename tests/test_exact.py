@@ -180,13 +180,29 @@ def test_random_exact_biquat_is_eight_scalar_draws(dyadic, draw):
     # Same seed, same values, same stream position afterwards: the
     # seeded samples of the acceptance criteria are those of eight
     # random_dyadic / random_rational draws per biquaternion.
-    for seed, limit in ((99, 97), (2025, 30), (75, 20), (1, 1), (2, 1000)):
+    for seed, limit in ((99, 97), (2025, 30), (75, 20), (1, 1), (2, 1000),
+                        (3, 2 ** 70)):
         got_rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(300):
             got = random_exact_biquat(got_rng, limit=limit, dyadic=dyadic)
             want = ExactBiQuat(tuple(draw(ref_rng, limit) for _ in range(8)))
             assert got == want
-        assert got_rng.random() == ref_rng.random()
+        assert got_rng.getstate() == ref_rng.getstate()
+
+
+def test_random_exact_biquat_edge_limits():
+    # limit 0 is one value for a dyadic draw and an empty range for a
+    # rational denominator; a negative limit is empty either way.
+    got_rng, ref_rng = random.Random(5), random.Random(5)
+    got = random_exact_biquat(got_rng, limit=0, dyadic=True)
+    assert got == ExactBiQuat(tuple(random_dyadic(ref_rng, 0)
+                                    for _ in range(8)))
+    assert got_rng.getstate() == ref_rng.getstate()
+    for limit, dyadic in ((0, False), (-1, True), (-1, False)):
+        with pytest.raises(ValueError, match="empty range"):
+            random_exact_biquat(random.Random(5), limit=limit, dyadic=dyadic)
+    with pytest.raises(TypeError):
+        random_exact_biquat(random.Random(5), limit=2.5)
 
 
 def test_exact_biquat_vector_ops():
@@ -416,9 +432,68 @@ def test_constructor_refuses_what_fraction_refuses(bad):
     assert _raised(ExactBiQuat, coords) == _raised(Fraction, bad)
 
 
+@pytest.mark.parametrize("bad,raised", [
+    (math.nan, (ValueError, "cannot convert NaN to integer ratio")),
+    (math.inf, (OverflowError, "cannot convert Infinity to integer ratio")),
+    ("x", (ValueError, "Invalid literal for Fraction: 'x'")),
+    ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+    (None, (TypeError, "argument should be a string or a Rational instance")),
+])
+def test_constructor_error_types_and_texts(bad, raised):
+    # The same on 3.10-3.13, after an int or after seven Fractions.
+    for coords in ((1, 0, 0, 0, bad, 0, 0, 0),
+                   (Fraction(1, 2),) * 7 + (bad,)):
+        assert _raised(ExactBiQuat, coords) == raised
+
+
 def test_constructor_refuses_seven_coordinates():
     assert _raised(ExactBiQuat, (0,) * 7) == (
         ValueError, "ExactBiQuat needs exactly 8 coordinates")
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_constructor_refuses_other_lengths(n):
+    for coords in ((0,) * n, (Fraction(1, 2),) * n):
+        assert _raised(ExactBiQuat, coords) == (
+            ValueError, "ExactBiQuat needs exactly 8 coordinates")
+
+
+def test_fraction_keeps_the_slots_the_constructor_reads():
+    # ExactBiQuat reads eight Fractions through these two slots.
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+def _reference(coords) -> ExactBiQuat:
+    # The coordinates as a sum of rational multiples of the basis,
+    # through Fraction and ExactBiQuat.__add__ only.
+    total = ExactBiQuat.from_ratio((0,) * 8, 1)
+    for k, c in enumerate(coords):
+        f = Fraction(c)
+        nums = tuple(f.numerator if m == k else 0 for m in range(8))
+        total = total + ExactBiQuat.from_ratio(nums, f.denominator)
+    return total
+
+
+_big = st.integers(-2 ** 80, 2 ** 80)
+_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, _big, st.integers(1, 2 ** 80)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)))
+_coordinates = st.one_of(
+    _fractions, _big, st.integers(-3, 3), st.booleans(),
+    st.builds(_Frac, st.integers(-50, 50), st.integers(1, 50)),
+    st.sampled_from((0.0, -0.0)),
+    st.builds(math.ldexp, st.integers(-2 ** 53, 2 ** 53),
+              st.integers(-80, 80)))
+
+
+@given(st.one_of(st.tuples(*[_fractions] * 8),
+                 st.tuples(*[_coordinates] * 8)))
+def test_constructor_matches_the_fraction_sum(coords):
+    x, want = ExactBiQuat(coords), _reference(coords)
+    assert (x.nums, x.den) == (want.nums, want.den) == _via_fraction(coords)
+    assert hash(x) == hash(want)
+    assert all(type(n) is int for n in x.nums) and type(x.den) is int
 
 
 # --- conjugations reverse products (hypothesis) ------------------------------
@@ -471,6 +546,14 @@ def test_exact_conj_involution_and_errors():
     for kind in ("other", "Complex", ""):
         with pytest.raises(ValueError, match="unknown conjugation kind"):
             exact_conj(x, kind)
+
+
+@pytest.mark.parametrize("kind", [["complex"], "bogus", None, {}])
+def test_exact_conj_refuses_what_conjugate_refuses(kind):
+    x = _exact(1, 2, 3, 4, 5, 6, 7, 8)
+    assert _raised(exact_conj, x, kind) == _raised(
+        conjugate, BiQuat(*x.to_floats()), kind) == (
+        ValueError, f"unknown conjugation kind: {kind!r}")
 
 
 # --- agreement with the float path -------------------------------------------
