@@ -20,7 +20,8 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .quaternion import _MAX_FLOAT, _MIN_NORMAL, DEFAULT_TOL, Quat, hamilton
+from .quaternion import (_MAX_FLOAT, _MIN_NORMAL, DEFAULT_TOL, Quat, _new,
+                         hamilton)
 
 __all__ = [
     "BiQuat",
@@ -102,13 +103,13 @@ def bmul(p: BiQuat, q: BiQuat) -> BiQuat:
 def conjugate(q: BiQuat, kind: str) -> BiQuat:
     """One of the three conjugations; ``kind`` picks which."""
     if kind == "complex":
-        return BiQuat(q.c1.conjugate(), q.c2.conjugate(),
-                      q.c3.conjugate(), q.c4.conjugate())
+        return _new(BiQuat, (q.c1.conjugate(), q.c2.conjugate(),
+                             q.c3.conjugate(), q.c4.conjugate()))
     if kind == "quaternion":
-        return BiQuat(q.c1, -q.c2, -q.c3, -q.c4)
+        return _new(BiQuat, (q.c1, -q.c2, -q.c3, -q.c4))
     if kind == "hermitian":
-        return BiQuat(q.c1.conjugate(), -q.c2.conjugate(),
-                      -q.c3.conjugate(), -q.c4.conjugate())
+        return _new(BiQuat, (q.c1.conjugate(), -q.c2.conjugate(),
+                             -q.c3.conjugate(), -q.c4.conjugate()))
     raise ValueError(f"unknown conjugation kind: {kind!r}")
 
 

@@ -273,12 +273,26 @@ def _gate(p: Quat, q: BiQuat) -> tuple[float, int, int, int | None]:
     then (R1's rotor concurrence, p's support mask, q's support mask, the
     verdict).  The verdict is None when R1 fails, else the ``_VERDICT``
     entry: 0 when R2 or R3 fails, else the state's kind.  Only a verdict
-    that is true admits p."""
-    require_unit_norm(norm(p), "rotor must be a unit quaternion")
-    require_unit_norm(norm_h(q), "state must be normalized")
-    c_p = _concurrence(p)
-    pm = _mask(p, DEFAULT_TOL)
-    qm = _mask(q, DEFAULT_TOL)
+    that is true admits p.
+
+    The pass is straight-line code over the unpacked parts and calls no
+    helper: the sums are ``norm``'s and ``norm_h``'s, the tests
+    ``require_unit_norm``'s, p's norm first, and the masks ``_mask``'s.
+    A test pins it to that composed form."""
+    p1, p2, p3, p4 = p
+    if not abs(p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4 - 1.0) <= DEFAULT_TOL:
+        raise ValueError("rotor must be a unit quaternion")
+    q1, q2, q3, q4 = q
+    x1, y1, x2, y2 = q1.real, q1.imag, q2.real, q2.imag
+    x3, y3, x4, y4 = q3.real, q3.imag, q4.real, q4.imag
+    if not abs(x1 * x1 + y1 * y1 + x2 * x2 + y2 * y2
+               + x3 * x3 + y3 * y3 + x4 * x4 + y4 * y4 - 1.0) <= DEFAULT_TOL:
+        raise ValueError("state must be normalized")
+    c_p = 2.0 * abs(p1 * p4 - p2 * p3)
+    pm = ((abs(p1) > DEFAULT_TOL) | (abs(p2) > DEFAULT_TOL) << 1
+          | (abs(p3) > DEFAULT_TOL) << 2 | (abs(p4) > DEFAULT_TOL) << 3)
+    qm = ((abs(q1) > DEFAULT_TOL) | (abs(q2) > DEFAULT_TOL) << 1
+          | (abs(q3) > DEFAULT_TOL) << 2 | (abs(q4) > DEFAULT_TOL) << 3)
     verdict = _VERDICT[pm << 4 | qm] if c_p <= DEFAULT_TOL else None
     return c_p, pm, qm, verdict
 
@@ -304,7 +318,8 @@ def _rejected(c_p: float, pm: int, qm: int,
         else:
             notes.append(f"R3: rotor support {sorted(ps)} is not one of "
                          f"the admissible pairs {_ADMISSIBLE_TEXT}")
-    return RestrictionReport(r1, r2, r3, ps, qs, c_p, "; ".join(notes))
+    return _new(RestrictionReport,
+                (r1, r2, r3, ps, qs, c_p, "; ".join(notes)))
 
 
 def check_restrictions(p: Quat, q: BiQuat) -> RestrictionReport:
@@ -349,9 +364,10 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     report = _new(RestrictionReport, (
         True, True, True, _SUPPORTS[pm], _SUPPORTS[qm], c_p,
         _DEGENERATE_NOTE if verdict == _DEGENERATE else "ok"))
-    result = _sandwich(p, q)
-    return _new(EntangleOutcome, (result, _concurrence(q),
-                                  _concurrence(result), report))
+    q1, q2, q3, q4 = q
+    result = r1, r2, r3, r4 = _sandwich(p, q)
+    return _new(EntangleOutcome, (result, 2.0 * abs(q1 * q4 - q2 * q3),
+                                  2.0 * abs(r1 * r4 - r2 * r3), report))
 
 
 def predicted_concurrence(p: Quat, q: BiQuat) -> float:

@@ -150,7 +150,7 @@ def mul(p: Quat, q: Quat) -> Quat:
 
 def conj(q: Quat) -> Quat:
     """Quaternion conjugate: scalar part kept, vector part negated."""
-    return Quat(q.c1, -q.c2, -q.c3, -q.c4)
+    return _new(Quat, (q.c1, -q.c2, -q.c3, -q.c4))
 
 
 def norm(q: Quat) -> float:

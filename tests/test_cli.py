@@ -125,15 +125,36 @@ def test_complex_literal_grammar_equals_the_three_pattern_union(token):
         assert got == ("non-finite number (at position 6)", 6)
 
 
+# A run of _UNSIGNED's \d: the ASCII digits and, since \d and float()
+# take every Unicode decimal digit, a few others (Arabic-Indic,
+# Devanagari, Bengali, fullwidth and mathematical bold).
+_DIGIT_RUN = st.text("0123456789\u0660\u0669\u0967\u09e7\uff10\uff19"
+                     "\U0001d7ce\U0001d7d7", min_size=1, max_size=10)
+# Every shape _UNSIGNED matches: digits, digits., digits.digits and
+# .digits, each with or without an exponent [eE][+-]?digits.
+_UNSIGNED_TEXT = st.builds(
+    str.__add__,
+    st.one_of(_DIGIT_RUN, _DIGIT_RUN.map("{}.".format),
+              st.builds("{}.{}".format, _DIGIT_RUN, _DIGIT_RUN),
+              _DIGIT_RUN.map(".{}".format)),
+    st.one_of(st.just(""),
+              st.builds("{}{}{}".format, st.sampled_from("eE"),
+                        st.sampled_from(("", "+", "-")), _DIGIT_RUN)))
+
+
 @st.composite
 def _blanked_piece(draw):
     """(text, value, split, lead): one literal of the form a, bi or a+bi,
     with whitespace before and after it and blanks at its gaps.  ``split``
     is True when a blank was put inside a number, ``lead`` is the length
     of the whitespace before the literal."""
-    number = st.from_regex(_UNSIGNED, fullmatch=True)
+    def number():
+        text = draw(_UNSIGNED_TEXT)
+        assert re.fullmatch(_UNSIGNED, text), text
+        return text
+
     sign = draw(st.sampled_from(("", "+", "-")))
-    first = draw(number)
+    first = number()
     tokens = [sign, first] if sign else [first]
     x = float(sign + first)
     form = draw(st.sampled_from(("a", "bi", "a+bi")))
@@ -143,7 +164,7 @@ def _blanked_piece(draw):
         tokens.append("i")
         value = complex(0.0, x)
     else:
-        imag_sign, imag = draw(st.sampled_from("+-")), draw(number)
+        imag_sign, imag = draw(st.sampled_from("+-")), number()
         tokens += [imag_sign, imag, "i"]
         value = complex(x, float(imag_sign + imag))
     split = False

@@ -8,12 +8,13 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biquat import biquaternion, entanglement, quaternion
 from biquat.biquaternion import BiQuat, bmul, from_quat, norm_h
-from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, RestrictionError,
+from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, EntangleOutcome,
+                                 RestrictionError, RestrictionReport,
                                  StateAmp, Variant, _sandwich,
                                  check_restrictions, concurrence,
                                  embed_state, entangle, entangle_map,
@@ -246,6 +247,197 @@ def test_gate_equals_the_frozenset_reference_on_every_mask():
                         (False, False, False)}
     assert degenerate
     assert kinds == {"law", "degenerate", "uncovered"}
+
+
+# --- the inline gate against the composed one ----------------------------
+
+def _called(fn, p, q) -> tuple:
+    """fn(p, q) as comparable text: what it returned, or the type and text
+    it raised, with a RestrictionError's report."""
+    try:
+        return "returned", repr(fn(p, q))
+    except RestrictionError as e:
+        return "RestrictionError", str(e), repr(e.report)
+    except Exception as e:
+        return type(e).__name__, str(e)
+
+
+def _composed(p: Quat, q: BiQuat) -> list:
+    """What check_restrictions, entangle and predicted_concurrence give
+    by ``_reference_gate``, in ``_called``'s form."""
+    try:
+        want = RestrictionReport(*_reference_gate(p, q))
+    except ValueError as e:
+        return [("ValueError", str(e))] * 3
+    if not want.passed:
+        rejected = ("RestrictionError", f"rotor rejected: {want.detail}",
+                    repr(want))
+        return [("returned", repr(want)), rejected, rejected]
+    result = _sandwich(p, q)
+    report = want
+    if len(want.q_support) < 2:
+        report = want._replace(detail="degenerate amplitudes: a state "
+                               "coefficient is zero, concurrence stays 0")
+    outcome = EntangleOutcome(
+        result, 2.0 * abs(q.c1 * q.c4 - q.c2 * q.c3),
+        2.0 * abs(result.c1 * result.c4 - result.c2 * result.c3), report)
+    qs, ps = sorted(want.q_support), sorted(want.p_support)
+    if len(qs) < 2:
+        predicted = ("returned", repr(0.0))
+    elif frozenset(qs) not in _VARIANT_SUPPORTS:
+        predicted = ("ValueError", f"state support {qs} is not one of the "
+                     "variant pairs (1,2) (3,4) (1,3) (2,4): the law does "
+                     "not cover it")
+    else:
+        (i, j), (a, b) = qs, ps
+        predicted = ("returned", repr(4.0 * (
+            abs(q[i - 1]) * abs(q[j - 1]) * abs(p[a - 1]) * abs(p[b - 1]))))
+    return [("returned", repr(want)), ("returned", repr(outcome)), predicted]
+
+
+def _gated(p: Quat, q: BiQuat) -> list:
+    return [_called(fn, p, q)
+            for fn in (check_restrictions, entangle, predicted_concurrence)]
+
+
+_P_OK = (INV_SQRT2, 0.0, INV_SQRT2, 0.0)
+_Q_OK = (I_SQRT2, -I_SQRT2, 0j, 0j)
+
+
+def _norm_edges(cls, unit, norm_of) -> list:
+    """cls(x * unit) at the last x that passes the unit-norm test on each
+    side of 1, and at the float one nextafter step beyond, which fails."""
+    def at(x):
+        return cls(*(x * c for c in unit))
+
+    def passes(x):
+        return abs(norm_of(at(x)) - 1.0) <= DEFAULT_TOL
+
+    edges = []
+    for away in (0.0, 2.0):
+        x = math.sqrt(1.0 + (away - 1.0) * DEFAULT_TOL)
+        while not passes(x):
+            x = math.nextafter(x, 1.0)
+        while passes(beyond := math.nextafter(x, away)):
+            x = beyond
+        edges += [at(x), at(beyond)]
+    return edges
+
+
+def _gate_table() -> list:
+    """(p, q) pairs at the edges of the gate's float tests."""
+    p_ok, q_ok = Quat(*_P_OK), BiQuat(*_Q_OK)
+    p_edges = _norm_edges(Quat, _P_OK, norm)
+    q_edges = _norm_edges(BiQuat, _Q_OK, norm_h)
+    # Parts that all differ: only the sums' own order rounds at the edge
+    # as norm and norm_h do.
+    rng = random.Random(22)
+    for _ in range(8):
+        c = [rng.uniform(0.1, 1.0) for _ in range(4)]
+        n = math.sqrt(sum(x * x for x in c))
+        p_edges += _norm_edges(Quat, [x / n for x in c], norm)
+        z = [complex(rng.uniform(0.1, 1.0), rng.uniform(-1.0, -0.1))
+             for _ in range(4)]
+        n = math.sqrt(sum(abs(x) ** 2 for x in z))
+        q_edges += _norm_edges(BiQuat, [x / n for x in z], norm_h)
+    s, tiny = INV_SQRT2, 5e-324
+    pairs = [(p_ok, q_ok)]
+    pairs += [(p, q_ok) for p in p_edges] + [(p_ok, q) for q in q_edges]
+    # Both fail their norm: the rotor's message must win.
+    pairs += [(p, q) for p in p_edges[1::2] for q in q_edges[1::2]]
+    pairs += [(Quat(2.0, 0, 0, 0), BiQuat(math.nan, 0, 0, 0)),
+              (Quat(math.inf, 0, 0, 0), BiQuat(0, 0, 0, 0))]
+    for bad in (math.nan, math.inf, -math.inf):
+        for k in range(4):
+            parts = list(_P_OK)
+            parts[k] = bad
+            pairs.append((Quat(*parts), q_ok))
+            for z in (complex(bad, 0.0), complex(0.0, bad)):
+                parts = list(_Q_OK)
+                parts[k] = z
+                pairs.append((p_ok, BiQuat(*parts)))
+    # Signed zeros, subnormals and the smallest normal, off the supports.
+    pairs += [
+        (Quat(s, -0.0, s, -0.0),
+         BiQuat(complex(-0.0, s), complex(-0.0, -s), complex(-0.0, -0.0),
+                -0.0)),
+        (Quat(s, tiny, s, -tiny),
+         BiQuat(I_SQRT2, -I_SQRT2, complex(tiny, -tiny), sys.float_info.min)),
+        (Quat(-0.0, s, -0.0, -s), BiQuat(-0.0, 0.0, 1.0, -0.0)),
+    ]
+    # Each verdict and kind: R1, R2 and R3 failing, a single-direction
+    # state, a state outside the law, int parts.
+    pairs += [(Quat(0.5, 0.5, 0.5, -0.5), q_ok), (Quat(0, 1, 0, 0), q_ok),
+              (Quat(s, s, 0, 0), q_ok), (p_ok, BiQuat(1, 0, 0, 0)),
+              (Quat(s, s, 0, 0), BiQuat(s, 0, 0, s)),
+              (Quat(1, 0, 0, 0), BiQuat(0, 1j, 0, 0))]
+    return pairs
+
+
+def test_inline_gate_equals_the_composed_gate_at_the_float_edges():
+    outcomes = set()
+    for p, q in _gate_table():
+        want = _composed(p, q)
+        assert _gated(p, q) == want, (p, q)
+        outcomes.add((want[0][0], want[1][0], want[2][0]))
+    # The table reaches each refusal, rejection and prediction kind.
+    assert outcomes == {("ValueError",) * 3,
+                        ("returned", "RestrictionError", "RestrictionError"),
+                        ("returned", "returned", "returned"),
+                        ("returned", "returned", "ValueError")}
+
+
+# Parts a search puts into a unit p or q: every non-finite value, signed
+# zeros, subnormals, the tolerance itself and the float above it.
+_EDGE_PARTS = st.sampled_from((
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.min, DEFAULT_TOL, -DEFAULT_TOL,
+    math.nextafter(DEFAULT_TOL, 1.0)))
+
+
+# Masks of the admissible rotor pairs, which are also the variant pairs.
+_PAIR_MASKS = st.one_of(st.sampled_from((3, 5, 10, 12)), st.integers(1, 15))
+
+
+@st.composite
+def _edge_pair(draw):
+    """A unit p and q, often on pair masks, each maybe scaled by a factor
+    f with f*f within about 1 +- DEFAULT_TOL, and with up to two parts
+    replaced."""
+    p = _unit_on(draw(_PAIR_MASKS), draw(st.sampled_from(_OFF)),
+                 (1.0, -1.0, 1.0, -1.0))
+    q = _unit_on(draw(_PAIR_MASKS), draw(st.sampled_from(_OFF)),
+                 (1j, -1.0, -1j, 1.0))
+    for parts, edge in ((p, _EDGE_PARTS),
+                        (q, st.builds(complex, _EDGE_PARTS, _EDGE_PARTS))):
+        if draw(st.booleans()):
+            f = draw(st.floats(1.0 - DEFAULT_TOL / 2,
+                               1.0 + DEFAULT_TOL / 2))
+            parts[:] = [f * c for c in parts]
+        if draw(st.booleans()):
+            for k in draw(st.sets(st.integers(0, 3), min_size=1,
+                                  max_size=2)):
+                parts[k] = draw(edge)
+    return Quat(*p), BiQuat(*q)
+
+
+@settings(max_examples=300)
+@given(_edge_pair())
+def test_inline_gate_equals_the_composed_gate_on_a_search(pair):
+    assert _gated(*pair) == _composed(*pair)
+
+
+def test_gate_calls_no_helper(monkeypatch):
+    pairs = _gate_table()
+    want = [_gated(p, q) for p, q in pairs]
+
+    def refuse(*args):
+        raise AssertionError("the gate called a helper")
+
+    for name in ("norm", "norm_h", "require_unit_norm", "_concurrence",
+                 "_mask"):
+        monkeypatch.setattr(entanglement, name, refuse)
+    assert [_gated(p, q) for p, q in pairs] == want
 
 
 # --- reports and outcomes are immutable values ----------------------------
