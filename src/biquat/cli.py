@@ -633,13 +633,13 @@ def _help(command, error=None) -> str:
 
 def main(argv=None) -> int:
     try:
-        ns = _read_argv(sys.argv[1:] if argv is None else argv)
-    except _Stop as stop:
-        so_far, error = stop.args
-        print(_help(so_far.get("command"), error),
-              file=sys.stdout if error is None else sys.stderr)
-        return 0 if error is None else 1
-    try:
+        try:
+            ns = _read_argv(sys.argv[1:] if argv is None else argv)
+        except _Stop as stop:
+            so_far, error = stop.args
+            print(_help(so_far.get("command"), error),
+                  file=sys.stdout if error is None else sys.stderr)
+            return 0 if error is None else 1
         return globals()["_cmd_" + ns["command"].replace("-", "_")](
             SimpleNamespace(**ns))
     except ParseError as e:

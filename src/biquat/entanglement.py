@@ -25,6 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
+from . import _codegen
 from .biquaternion import BiQuat, bmul, json_form, norm_h
 from .quaternion import DEFAULT_TOL, Quat, _new, norm, require_unit_norm
 
@@ -217,14 +218,12 @@ def _generate_sandwich():
     each rotor part as the right factor, ``q_k * p_k``: a product commutes
     and the imaginary part of a complex product adds the same two terms,
     so the parts are those of ``p_k * q_k`` bit for bit, without first
-    trying ``float.__mul__`` on a complex.  The function is executed with
-    this module's ``__name__``, so its ``__module__`` is
-    ``biquat.entanglement``.
+    trying ``float.__mul__`` on a complex.
     """
     p = Quat(*(_RotorCode(f"p{k}") for k in range(1, 5)))
     q = BiQuat(*(_Code(f"q{k}") for k in range(1, 5)))
     r = BiQuat(*(_Code(f"r{k}") for k in range(1, 5)))
-    lines = [
+    return _codegen.function(__name__, "_sandwich", [
         "def _sandwich(p, q):",
         '    """p q p for a real rotor p, bit for bit bmul(bmul(p, q), p)."""',
         "    p1, p2, p3, p4 = p",
@@ -233,10 +232,7 @@ def _generate_sandwich():
         "    return _new(BiQuat, (",
         *(f"        {text}," for text in bmul(r, p)),
         "    ))",
-    ]
-    namespace = {"__name__": __name__, "BiQuat": BiQuat, "_new": _new}
-    exec("\n".join(lines), namespace)
-    return namespace["_sandwich"]
+    ], BiQuat=BiQuat, _new=_new)
 
 
 _sandwich = _generate_sandwich()

@@ -34,6 +34,8 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import _codegen
+
 __all__ = [
     "ExactScalar",
     "ExactBiQuat",
@@ -320,15 +322,9 @@ def _reduced(nums, den: int) -> ExactBiQuat:
                        n4 // g, n5 // g, n6 // g, n7 // g), den // g)
 
 
-def _compile(name, lines):
-    """Function ``name`` defined by the source ``lines``, executed with this
-    module's ``__name__`` and the names that build an ``ExactBiQuat``
-    directly, past its constructor."""
-    namespace = {"__name__": __name__, "_gcd": math.gcd,
-                 "_new": object.__new__, "ExactBiQuat": ExactBiQuat,
-                 "_set_nums": _set_nums, "_set_den": _set_den}
-    exec("\n".join(lines), namespace)
-    return namespace[name]
+# The generated code's globals: what builds an ExactBiQuat past __init__.
+_BUILD = dict(_gcd=math.gcd, _new=object.__new__, ExactBiQuat=ExactBiQuat,
+              _set_nums=_set_nums, _set_den=_set_den)
 
 
 def _generate_product(structure):
@@ -338,8 +334,7 @@ def _generate_product(structure):
     products ``p{a}*q{b}`` with sign +1 first, then those with sign -1,
     all read from ``structure``, so the code follows the table and is
     never written by hand.  The reduction by the gcd of the sums and the
-    denominator follows inline, as in ``_reduced``.  ``_compile`` gives
-    the function this module's ``__name__`` as its ``__module__``.
+    denominator follows inline, as in ``_reduced``.
     """
     plus = [[] for _ in range(8)]
     minus = [[] for _ in range(8)]
@@ -351,7 +346,7 @@ def _generate_product(structure):
         text = " + ".join(plus[c]) or "0"
         sums.append(" - ".join([text, *minus[c]]))
     n = ", ".join(f"n{c}" for c in range(8))
-    lines = [
+    return _codegen.function(__name__, "oracle_mul", [
         "def oracle_mul(p, q):",
         '    """Exact product p q through the structure-constant table."""',
         "    " + ", ".join(f"p{a}" for a in range(8)) + " = p.nums",
@@ -368,8 +363,7 @@ def _generate_product(structure):
         + "))",
         "        _set_den(x, den // g)",
         "    return x",
-    ]
-    return _compile("oracle_mul", lines)
+    ], **_BUILD)
 
 
 oracle_mul = _generate_product(STRUCTURE)
@@ -395,14 +389,14 @@ def _generate_conjugations(flips_by_kind):
     conjugations = {}
     for kind, flips in flips_by_kind.items():
         out = ", ".join(f"-n{k}" if k in flips else f"n{k}" for k in range(8))
-        conjugations[kind] = _compile(f"conj_{kind}", [
+        conjugations[kind] = _codegen.function(__name__, f"conj_{kind}", [
             f"def conj_{kind}(x):",
             f"    {n} = x.nums",
             "    y = _new(ExactBiQuat)",
             f"    _set_nums(y, ({out}))",
             "    _set_den(y, x.den)",
             "    return y",
-        ])
+        ], **_BUILD)
     return conjugations
 
 

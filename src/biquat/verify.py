@@ -43,6 +43,7 @@ import math
 import random
 from typing import NamedTuple
 
+from . import _codegen
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
                            _concurrence, _sandwich, embed_state, place_pair)
@@ -190,8 +191,8 @@ def _compiled(form: str, i: int, j: int):
     ``-`` and ``*``, unary ``-`` and ``**`` with a non-negative int
     literal exponent.  Any other name is a NameError and any other syntax
     a ValueError.  The function is one straight line of integer
-    arithmetic, executed with this module's ``__name__``; its result is
-    canonicalised once, over ``D**k`` for the largest degree k.
+    arithmetic; its result is canonicalised once, over ``D**k`` for the
+    largest degree k.
     """
     tree = ast.parse(form.replace("^", "**"), "<closed form>", mode="eval")
     w = _FormWriter(i, j)
@@ -206,8 +207,10 @@ def _compiled(form: str, i: int, j: int):
     nums = [w.scaled(c[part], k - c[2]) or "0"
             for part in (0, 1) for c in comps]
     den = "1" if k == 0 else w.power(k)
-    lines = [
+    doc = f"Exact value of {form!r} at (alpha, beta, a{i}, a{j})."
+    return _codegen.function(__name__, "closed_form", [
         "def closed_form(alpha, beta, ai, aj):",
+        f"    {doc!r}",
         *(f"    n{m}, d{m} = _ratio({v})" for m, v in enumerate(
             ("alpha.re", "alpha.im", "beta.re", "beta.im", "ai", "aj"))),
         "    D = _lcm(d0, d1, d2, d3, d4, d5)",
@@ -215,13 +218,7 @@ def _compiled(form: str, i: int, j: int):
         *(f"    D{m} = D ** {m}" for m in sorted(w.powers)),
         *w.lines,
         f"    return _from_ratio(({', '.join(nums)}), {den})",
-    ]
-    namespace = {"__name__": __name__, "_ratio": _ratio, "_lcm": math.lcm,
-                 "_from_ratio": ExactBiQuat.from_ratio}
-    exec("\n".join(lines), namespace)
-    fn = namespace["closed_form"]
-    fn.__doc__ = f"Exact value of {form!r} at (alpha, beta, a{i}, a{j})."
-    return fn
+    ], _ratio=_ratio, _lcm=math.lcm, _from_ratio=ExactBiQuat.from_ratio)
 
 
 class EntangleCase(NamedTuple):

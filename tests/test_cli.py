@@ -6,6 +6,7 @@ capsys so the tests behave the same under pytest's -s mode.
 
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import os
 import random
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -807,6 +809,26 @@ def test_help_exits_zero():
         assert f"{name} {help_}" in flat
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["entangle", "--help"],
+                                  ["polar", "1,2,3,4"]])
+def test_output_into_a_closed_pipe_is_one_error_line(argv):
+    # Help text and a command's output alike: exit 1 and one line naming
+    # the error, never a traceback.  Unbuffered, so that the write fails
+    # inside main rather than at the interpreter's final flush.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "biquat", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (
+        1, "biquat: [Errno 32] Broken pipe\n")
+
+
 # name -> (argv, the program its usage line names, the error message).
 _USAGE_ERRORS = {
     "unknown-command": (["bogus"], "biquat",
@@ -928,9 +950,11 @@ def test_fuzzed_argv_exits_0_to_3_without_traceback(argv):
 
 # --- the reader against argparse -------------------------------------------
 
+@functools.cache
 def _reference_parser():
     """The argparse parser the CLI was once read with, made from the same
-    table: every argv it accepts, the reader must read alike."""
+    table: every argv it accepts, the reader must read alike.  Built once:
+    ``parse_args`` makes a fresh namespace on every call."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):

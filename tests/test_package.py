@@ -22,9 +22,12 @@ LAZY = {"exact", "verify"}
 
 
 def _fresh(code: str):
-    """Run ``code`` in a new ``python -S`` and decode the JSON it prints."""
+    """Run ``code`` in a new ``python -S`` and decode the JSON it prints.
+
+    The code is read from stdin: from 3.13 on, ``-c`` loads ``linecache``
+    at start-up, before the code runs."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-S", "-"], input=code, env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -37,7 +40,8 @@ def _loaded_after(statement: str, names) -> list:
 
 def test_cli_import_loads_only_the_float_route():
     absent = ["biquat.exact", "biquat.verify", "dataclasses", "inspect",
-              "fractions", "random", "ast", "csv", "argparse"]
+              "fractions", "random", "ast", "csv", "argparse", "linecache",
+              "tokenize"]
     present = ["biquat.quaternion", "biquat.biquaternion",
                "biquat.rotations", "biquat.entanglement"]
     assert _loaded_after("import biquat.cli", absent + present) == present
@@ -58,6 +62,24 @@ def test_cli_main_never_loads_argparse():
         "        code = main(argv)\n"
         "    got.append([code, 'argparse' in sys.modules])\n"
         "print(json.dumps(got))") == [[0, False], [0, False], [1, False]]
+
+
+def test_generated_source_shows_once_linecache_is_loaded():
+    # linecache loads after the import that compiles the sandwich: its
+    # source shows from the next generated function on.
+    assert _fresh("import json, sys, biquat\n"
+                  "before = 'linecache' in sys.modules\n"
+                  "import inspect\n"
+                  "from biquat.entanglement import _sandwich\n"
+                  "def shown():\n"
+                  "    try:\n"
+                  "        return inspect.getsource(_sandwich)[:20]\n"
+                  "    except OSError:\n"
+                  "        return None\n"
+                  "got = [before, shown()]\n"
+                  "import biquat.exact\n"
+                  "print(json.dumps(got + [shown()]))"
+                  ) == [False, None, "def _sandwich(p, q):"]
 
 
 def test_exact_import_loads_no_verifier():
