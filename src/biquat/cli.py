@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -639,9 +640,12 @@ def main(argv=None) -> int:
             so_far, error = stop.args
             print(_help(so_far.get("command"), error),
                   file=sys.stdout if error is None else sys.stderr)
-            return 0 if error is None else 1
-        return globals()["_cmd_" + ns["command"].replace("-", "_")](
-            SimpleNamespace(**ns))
+            code = 0 if error is None else 1
+        else:
+            code = globals()["_cmd_" + ns["command"].replace("-", "_")](
+                SimpleNamespace(**ns))
+        sys.stdout.flush()  # a pipe's held output fails here, not at exit
+        return code
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1
@@ -653,6 +657,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"biquat: {e}", file=sys.stderr)
+        try:  # what stdout holds would fail the final flush again
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

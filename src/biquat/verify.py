@@ -20,9 +20,10 @@ implicitly assume a_i^2 + a_j^2 = 1; the evaluated forms restore that
 factor so each identity is polynomial and holds off the unit circle too.
 
 Closed-form texts are never passed to ``eval``.  On first use each text
-is parsed once, with ``^`` read as ``**``, and compiled to one
-straight-line function of Python ints: the six real inputs go over one
-common denominator and the result is reduced once.  The accepted grammar
+is parsed once, with ``^`` read as ``**``, expanded into monomials and
+compiled to one straight-line function of Python ints: the six real
+inputs go over one common denominator, each numerator is one sum of
+monomials and the result is reduced once.  The accepted grammar
 is a 4-tuple of int literals, the names ``alpha``, ``beta``, ``a{i}``
 and ``a{j}``, binary ``+``, ``-`` and ``*``, unary ``-`` and ``**`` with
 a non-negative int literal exponent.  Any other name is a NameError and
@@ -79,107 +80,80 @@ _TABLE_NOTE = ("bare alpha/beta entries in the reference forms carry an "
                "identity is polynomial")
 
 
-class _FormWriter:
-    """Straight-line integer code for one parsed closed-form tuple.
+def _plus(x: dict, y: dict, sign: int) -> dict:
+    """The expansion of x + sign*y; no zero coefficient is kept."""
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
 
-    The six real inputs are read as ``x0 .. x5 / D`` over one common
-    denominator ``D``.  A node of degree k stands for ``num / D**k`` and
-    is held as ``(re, im, k)``, where ``re`` and ``im`` name an integer
-    variable, or are ``None`` when known to be zero.  ``+`` and ``-``
-    bring both sides to the larger degree first, so any polynomial text
-    is exact, homogeneous or not.
-    """
 
-    def __init__(self, i: int, j: int):
-        self.leaves = {"alpha": ("x0", "x1", 1), "beta": ("x2", "x3", 1),
-                       f"a{i}": ("x4", None, 1), f"a{j}": ("x5", None, 1)}
-        self.lines: list[str] = []
-        self.powers: set[int] = set()
-        self.names: dict[str, str] = {}
+def _times(x: dict, y: dict) -> dict:
+    """The expansion of x * y; an i*i product flips the sign."""
+    out = {}
+    for (ex, px), cx in x.items():
+        for (ey, py), cy in y.items():
+            key = (tuple(a + b for a, b in zip(ex, ey)), px ^ py)
+            out[key] = out.get(key, 0) + (-cx * cy if px & py else cx * cy)
+    return {key: c for key, c in out.items() if c}
 
-    def temp(self, expr: str) -> str:
-        """A variable holding ``expr``; a repeated expression is reused."""
-        name = self.names.get(expr)
-        if name is None:
-            name = self.names[expr] = f"t{len(self.lines)}"
-            self.lines.append(f"    {name} = {expr}")
-        return name
 
-    def power(self, m: int) -> str:
-        if m == 1:
-            return "D"
-        self.powers.add(m)
-        return f"D{m}"
+def _expand(e, leaves: dict) -> dict:
+    """The expansion of one sub-expression; raises on any other syntax."""
+    if type(e) is ast.Constant and type(e.value) is int:
+        return {((0,) * 6, 0): e.value} if e.value else {}
+    if type(e) is ast.Name:
+        return leaves[e.id]
+    if type(e) is ast.UnaryOp and type(e.op) is ast.USub:
+        return _plus({}, _expand(e.operand, leaves), -1)
+    if type(e) is ast.BinOp:
+        op = type(e.op)
+        if op is ast.Pow:
+            n = e.right
+            if not (type(n) is ast.Constant and type(n.value) is int):
+                raise ValueError("closed form: an exponent must be a "
+                                 "non-negative int literal")
+            x = _expand(e.left, leaves)
+            return functools.reduce(_times, [x] * n.value, {((0,) * 6, 0): 1})
+        if op in (ast.Add, ast.Sub, ast.Mult):
+            x, y = _expand(e.left, leaves), _expand(e.right, leaves)
+            return (_times(x, y) if op is ast.Mult
+                    else _plus(x, y, 1 if op is ast.Add else -1))
+        raise ValueError(f"closed form: unsupported operator "
+                         f"{ast.unparse(e)!r}")
+    raise ValueError(f"closed form: unsupported syntax {ast.unparse(e)!r}")
 
-    def scaled(self, part, m: int):
-        if part is None or m == 0:
-            return part
-        return self.temp(f"{part} * {self.power(m)}")
 
-    def neg(self, part):
-        return None if part is None else self.temp(f"-{part}")
+def _expansion(form: str, i: int, j: int) -> list[dict]:
+    """The four entries of one closed-form text, each expanded into
+    monomials: a dict from (exponents of x0 .. x5, part) to a nonzero int
+    coefficient.  Part 0 is real and part 1 imaginary; x0 .. x5 are
+    alpha.re, alpha.im, beta.re, beta.im, a{i} and a{j}."""
+    tree = ast.parse(form.replace("^", "**"), "<closed form>", mode="eval")
+    x = [tuple(int(n == m) for n in range(6)) for m in range(6)]
+    leaves = {"alpha": {(x[0], 0): 1, (x[1], 1): 1},
+              "beta": {(x[2], 0): 1, (x[3], 1): 1},
+              f"a{i}": {(x[4], 0): 1}, f"a{j}": {(x[5], 0): 1}}
+    for e in ast.walk(tree):
+        if type(e) is ast.Name and e.id not in leaves:
+            raise NameError(f"name {e.id!r} is not defined")
+    body = tree.body
+    if type(body) is not ast.Tuple or len(body.elts) != 4:
+        raise ValueError("closed form: expected a tuple of 4 entries")
+    return [_expand(e, leaves) for e in body.elts]
 
-    def combine(self, a, b, op: str):
-        if b is None:
-            return a
-        if a is None:
-            return b if op == "+" else self.neg(b)
-        return self.temp(f"{a} {op} {b}")
 
-    def product(self, a, b):
-        return None if a is None or b is None else self.temp(f"{a} * {b}")
-
-    def add(self, x, y, op: str):
-        k = max(x[2], y[2])
-        xr, xi = (self.scaled(p, k - x[2]) for p in x[:2])
-        yr, yi = (self.scaled(p, k - y[2]) for p in y[:2])
-        return self.combine(xr, yr, op), self.combine(xi, yi, op), k
-
-    def mul(self, x, y):
-        (xr, xi, xk), (yr, yi, yk) = x, y
-        return (self.combine(self.product(xr, yr), self.product(xi, yi), "-"),
-                self.combine(self.product(xr, yi), self.product(xi, yr), "+"),
-                xk + yk)
-
-    def pow(self, x, n: int):
-        if n == 0:
-            return "1", None, 0
-        result = None
-        while True:  # square and multiply, lowest bit first
-            if n & 1:
-                result = x if result is None else self.mul(result, x)
-            n >>= 1
-            if not n:
-                return result
-            x = self.mul(x, x)
-
-    def node(self, e):
-        """(re, im, k) of one sub-expression; raises on any other syntax."""
-        if type(e) is ast.Constant and type(e.value) is int:
-            return (str(e.value) if e.value else None), None, 0
-        if type(e) is ast.Name:
-            return self.leaves[e.id]
-        if type(e) is ast.UnaryOp and type(e.op) is ast.USub:
-            re_, im, k = self.node(e.operand)
-            return self.neg(re_), self.neg(im), k
-        if type(e) is ast.BinOp:
-            op = type(e.op)
-            if op is ast.Pow:
-                n = e.right
-                if not (type(n) is ast.Constant and type(n.value) is int):
-                    raise ValueError("closed form: an exponent must be a "
-                                     "non-negative int literal")
-                out = self.pow(self.node(e.left), n.value)
-            elif op in (ast.Add, ast.Sub, ast.Mult):
-                x, y = self.node(e.left), self.node(e.right)
-                out = (self.mul(x, y) if op is ast.Mult
-                       else self.add(x, y, "+" if op is ast.Add else "-"))
-            else:
-                raise ValueError(f"closed form: unsupported operator "
-                                 f"{ast.unparse(e)!r}")
-            # A known zero has no numerator to bring to any degree.
-            return out if out[:2] != (None, None) else (None, None, 0)
-        raise ValueError(f"closed form: unsupported syntax {ast.unparse(e)!r}")
+def _numerator(entry: dict, part: int, k: int) -> str:
+    """One part of one entry as Python text: its monomials over D**k."""
+    terms = []
+    for (ex, p), c in entry.items():
+        if p == part:
+            factors = [f"x{m}" for m, e in enumerate(ex) for _ in range(e)]
+            factors += ["D"] * (k - sum(ex))
+            if abs(c) != 1 or not factors:
+                factors.insert(0, str(abs(c)))
+            terms.append(("-" if c < 0 else "") + "*".join(factors))
+    return " + ".join(terms).replace("+ -", "- ") or "0"
 
 
 @functools.cache
@@ -191,22 +165,12 @@ def _compiled(form: str, i: int, j: int):
     ``-`` and ``*``, unary ``-`` and ``**`` with a non-negative int
     literal exponent.  Any other name is a NameError and any other syntax
     a ValueError.  The function is one straight line of integer
-    arithmetic; its result is canonicalised once, over ``D**k`` for the
-    largest degree k.
+    arithmetic, one sum of monomials per numerator; its result is
+    canonicalised once, over ``D**k`` for the largest degree k.
     """
-    tree = ast.parse(form.replace("^", "**"), "<closed form>", mode="eval")
-    w = _FormWriter(i, j)
-    for e in ast.walk(tree):
-        if type(e) is ast.Name and e.id not in w.leaves:
-            raise NameError(f"name {e.id!r} is not defined")
-    body = tree.body
-    if type(body) is not ast.Tuple or len(body.elts) != 4:
-        raise ValueError("closed form: expected a tuple of 4 entries")
-    comps = [w.node(e) for e in body.elts]
-    k = max(c[2] for c in comps)
-    nums = [w.scaled(c[part], k - c[2]) or "0"
-            for part in (0, 1) for c in comps]
-    den = "1" if k == 0 else w.power(k)
+    entries = _expansion(form, i, j)
+    k = max((sum(ex) for entry in entries for ex, _ in entry), default=0)
+    nums = [_numerator(entry, part, k) for part in (0, 1) for entry in entries]
     doc = f"Exact value of {form!r} at (alpha, beta, a{i}, a{j})."
     return _codegen.function(__name__, "closed_form", [
         "def closed_form(alpha, beta, ai, aj):",
@@ -215,9 +179,7 @@ def _compiled(form: str, i: int, j: int):
             ("alpha.re", "alpha.im", "beta.re", "beta.im", "ai", "aj"))),
         "    D = _lcm(d0, d1, d2, d3, d4, d5)",
         *(f"    x{m} = n{m} * (D // d{m})" for m in range(6)),
-        *(f"    D{m} = D ** {m}" for m in sorted(w.powers)),
-        *w.lines,
-        f"    return _from_ratio(({', '.join(nums)}), {den})",
+        f"    return _from_ratio(({', '.join(nums)}), D ** {k})",
     ], _ratio=_ratio, _lcm=math.lcm, _from_ratio=ExactBiQuat.from_ratio)
 
 

@@ -809,24 +809,29 @@ def test_help_exits_zero():
         assert f"{name} {help_}" in flat
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["entangle", "--help"],
-                                  ["polar", "1,2,3,4"]])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["entangle", "--help"], ["polar", "1,2,3,4"],
+    ["sweep", "--grid", "2"], ["--json", "verify-examples"]])
 def test_output_into_a_closed_pipe_is_one_error_line(argv):
     # Help text and a command's output alike: exit 1 and one line naming
-    # the error, never a traceback.  Unbuffered, so that the write fails
-    # inside main rather than at the interpreter's final flush.
+    # the error, never a traceback.  Unbuffered, the write fails inside
+    # main; buffered, as Python's stdout into a pipe is by default, the
+    # output is still held when main returns, and the interpreter's final
+    # flush must not fail it again.
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run([sys.executable, "-m", "biquat", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=60)
-    finally:
-        os.close(write_end)
-    assert (done.returncode, done.stderr) == (
-        1, "biquat: [Errno 32] Broken pipe\n")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "biquat", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  env={**env, "PYTHONPATH": src, **unbuffered},
+                                  text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            1, "biquat: [Errno 32] Broken pipe\n"), unbuffered
 
 
 # name -> (argv, the program its usage line names, the error message).

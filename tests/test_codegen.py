@@ -97,6 +97,23 @@ def test_closed_form_docstring_is_its_text(form, support):
         f"Exact value of {form!r} at (alpha, beta, a{i}, a{j}).")
 
 
+@pytest.mark.parametrize("form, support, numerators, k", [
+    (ENTANGLE_CASES[0].closed_form, (1, 3),
+     "x0*x4*x4 - x0*x5*x5, x2*x4*x4 + x2*x5*x5, 2*x0*x4*x5, 0, "
+     "x1*x4*x4 - x1*x5*x5, x3*x4*x4 + x3*x5*x5, 2*x1*x4*x5, 0", 3),
+    ("(-alpha, 0, 3*beta*a2 - 2, -a2^0)", (2, 4),
+     "-x0*D, 0, 3*x2*x4 - 2*D*D, -D*D, -x1*D, 0, 3*x3*x4, 0", 2),
+    ("(1, -1, 0^0, -7)", (1, 3), "1, -1, 1, -7, 0, 0, 0, 0", 0),
+], ids=["case-1", "mixed-degrees", "constants"])
+def test_closed_form_source_is_one_sum_of_monomials_per_numerator(
+        form, support, numerators, k):
+    # Each monomial of degree d is scaled by D**(k - d); a coefficient of
+    # 1 or -1 is written as a sign alone.
+    source = inspect.getsource(verify._compiled(form, *support))
+    assert source.splitlines()[-1] == (
+        f"    return _from_ratio(({numerators}), D ** {k})")
+
+
 @pytest.mark.parametrize("f, args, error", [
     (exact.oracle_mul, (ExactBiQuat((1,) * 8), None), AttributeError),
     (entanglement._sandwich, (Quat(1.0, 0.0, 0.0, 0.0), (None, 0j, 0j, 0j)),

@@ -1,21 +1,26 @@
 """The eight-case report and the golden example audit."""
 
 import ast
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from biquat import exact, verify
-from biquat.entanglement import Variant, place_pair
+from biquat.entanglement import (StateAmp, Variant, check_restrictions,
+                                 embed_state, place_pair)
 from biquat.exact import ExactBiQuat, ExactScalar, oracle_mul
+from biquat.quaternion import Quat
 from biquat.verify import (ENTANGLE_CASES, GOLDEN_EXAMPLES, IDENTITY_POINTS,
                            _identity_points, closed_form_product,
                            verify_examples, verify_theorem)
@@ -206,11 +211,51 @@ def test_compiler_is_independent_of_the_oracle():
     case = ENTANGLE_CASES[0]
     compiled = verify._compiled(case.closed_form, *case.p_support)
     assert compiled.__module__ == "biquat.verify"
-    codes = [verify._compiled.__wrapped__.__code__, compiled.__code__,
-             *(f.__code__ for f in vars(verify._FormWriter).values()
-               if callable(f))]
-    for code in codes:
+    # The compiler, and every function of verify that it calls, directly
+    # or through another: the expansion helpers among them.
+    helpers, todo = {}, [verify._compiled.__wrapped__]
+    while todo:
+        f = todo.pop()
+        helpers[f.__name__] = f
+        todo += [g for name in _code_names(f.__code__)
+                 if isinstance(g := vars(verify).get(name), FunctionType)
+                 and g.__module__ == verify.__name__ and name not in helpers]
+    assert {"_expansion", "_expand", "_plus", "_times",
+            "_numerator"} <= set(helpers)
+    for code in (compiled.__code__, *(f.__code__ for f in helpers.values())):
         assert not {"STRUCTURE", "oracle_mul"} & _code_names(code)
+
+
+def test_closed_forms_have_the_degrees_of_p_q_p():
+    # Each coordinate of p q p is linear in alpha, linear in beta and
+    # quadratic in the rotor pair, so every monomial of every text has
+    # these degrees in (alpha.re, alpha.im, beta.re, beta.im, a_i, a_j).
+    for case in ENTANGLE_CASES:
+        entries = verify._expansion(case.closed_form, *case.p_support)
+        assert sum(map(len, entries)) == 10, case.case_id
+        for entry in entries:
+            for ex, _ in entry:
+                assert ex[0] + ex[1] <= 1 and ex[2] + ex[3] <= 1, ex
+                assert max(ex[4:]) <= 2 and sum(ex) == 3, ex
+    # A mutant shows its raised degrees.
+    exs = [ex for ex, _ in verify._expansion(_MUTATED[2].format(i=1, j=3),
+                                               1, 3)[2]]
+    assert max(ex[0] + ex[1] for ex in exs) == 5
+    assert max(ex[2] + ex[3] for ex in exs) == 5
+    assert max(ex[4] for ex in exs) == 5
+    assert max(map(sum, exs)) == 10
+
+
+def test_the_gate_admits_exactly_the_case_table():
+    # The 4 state variants against the 6 two-direction rotor supports,
+    # every amplitude 1/sqrt(2): the gate passes the 8 pairings of the
+    # case table, in case-id order, and no other.
+    s = 1 / math.sqrt(2)
+    passed = [(v, sup) for v in Variant
+              for sup in itertools.combinations(range(1, 5), 2)
+              if check_restrictions(Quat(*place_pair(sup, s, s, 0.0)),
+                                    embed_state(StateAmp(s, s, v))).passed]
+    assert passed == [(c.variant, c.p_support) for c in ENTANGLE_CASES]
 
 
 def test_import_compiles_no_closed_form():
