@@ -9,8 +9,15 @@ comma form once and matches each piece against the one literal pattern,
 ``_RE_COMPLEX``; only refused text is scanned again, by ``_refusal``, to
 name the piece at fault.  Every ``--json`` report with an indent is
 written by ``_json_text``, which gives ``json.dumps(obj, indent=2)``
-byte for byte without the pure-Python encoder ``json`` falls back to
-whenever an indent is set.
+byte for byte.  Up to Python 3.12, ``json`` writes any indented text
+with its pure-Python encoder, which ``_json_text`` outruns; from 3.13
+the C encoder takes an indent too and is the faster of the two.
+
+``sweep`` writes its CSV without ``csv``: no field can hold a comma, a
+quote, CR or LF, so a row is its fields joined by commas and ended by
+CRLF, the bytes ``csv.writer`` writes.  Each row's concurrence comes
+from the kernel ``entanglement`` traces from ``bmul`` for rotors on
+{1,3} and V12 states, compiled on a process's first sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from types import SimpleNamespace
 
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
 from .entanglement import (RestrictionError, StateAmp, Variant,
-                           _concurrence, _sandwich, check_restrictions,
+                           _concurrence_kernel, check_restrictions,
                            concurrence, embed_state, entangle)
 from .quaternion import DEFAULT_TOL, Quat, _new, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
@@ -250,7 +257,9 @@ def _json_text(obj) -> str:
     order (str, None, True, False, int, float, list or tuple, dict), ASCII
     escapes by ``encode_basestring_ascii``, keys in the dict's order, and
     TypeError for a value or key json cannot encode.  Circular references
-    are not looked for."""
+    are not looked for.  It beats ``json.dumps`` where that runs its
+    pure-Python encoder for an indent, up to 3.12; from 3.13 the C encoder
+    takes the indent and ``json.dumps`` is about twice as fast."""
     out = []
     emit = out.append
 
@@ -414,23 +423,25 @@ def _cmd_verify_examples(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
-    import csv
-
     n = ns.grid
     if n < 1:
         raise ParseError("--grid must be at least 1")
     half_pi = math.pi / 2.0
     mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
     phase = [2.0 * math.pi * k / n for k in range(n)]
-    # Rotors and states are unit by construction: rows run unchecked kernels.
-    rotors = [(Quat(ai, 0.0, aj, 0.0), repr(ai), repr(aj))
+    # Rotors on {1,3} and V12 states are unit by construction: each row
+    # runs the kernel _concurrence(_sandwich(p, q)) traced for them.
+    kernel = _concurrence_kernel((1, 3), Variant.V12.positions)
+    rotors = [(Quat(ai, 0.0, aj, 0.0), f"{ai!r},{aj!r},")
               for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]
+    threshold = 1.0 - DEFAULT_TOL
 
     rows = len(mix) * len(phase) ** 2 * len(rotors)
     maximal = 0
-
-    def sweep_rows():
-        nonlocal maximal
+    out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
+    try:
+        # One write per state streams the N^4 rows.
+        out.write("alpha,beta,a_i,a_j,concurrence,maximal\r\n")
         for tq in mix:
             ma, mb = math.cos(tq), math.sin(tq)
             betas = [mb * complex(math.cos(pb), math.sin(pb)) for pb in phase]
@@ -440,18 +451,15 @@ def _cmd_sweep(ns) -> int:
                 alpha_text = format_complex(alpha)
                 for beta, beta_text in zip(betas, beta_texts):
                     qv = embed_state(StateAmp(alpha, beta, Variant.V12))
-                    for p, ai_text, aj_text in rotors:
-                        c = _concurrence(_sandwich(p, qv))
-                        is_max = c >= 1.0 - DEFAULT_TOL
+                    state_text = f"{alpha_text},{beta_text},"
+                    lines = []
+                    for p, rotor_text in rotors:
+                        c = kernel(p, qv)
+                        is_max = c >= threshold
                         maximal += is_max
-                        yield (alpha_text, beta_text, ai_text, aj_text,
-                               repr(c), 1 if is_max else 0)
-
-    out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
-    try:
-        w = csv.writer(out)
-        w.writerow(["alpha", "beta", "a_i", "a_j", "concurrence", "maximal"])
-        w.writerows(sweep_rows())  # streamed: no N^4 list in memory
+                        lines.append(f"{state_text}{rotor_text}{c!r},"
+                                     f"{1 if is_max else 0}\r\n")
+                    out.write("".join(lines))
     finally:
         if out is not sys.stdout:
             out.close()

@@ -22,6 +22,7 @@ checked map end to end and refuses (carrying the report) when one fails.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from typing import NamedTuple
 
@@ -191,51 +192,130 @@ def _concurrence(q: BiQuat) -> float:
 
 class _Code(str):
     """Python source of a value: +, - and * return the source of the
-    result, parenthesised, so the operations keep their order."""
+    result, parenthesised, so the operations keep their order.
+
+    ``_ZERO`` is a part known to be zero: a product with a ``_ZERO``
+    factor is ``_ZERO``, ``x + _ZERO``, ``x - _ZERO`` and ``_ZERO + x``
+    are ``x``, and ``_ZERO - x`` is ``-x``."""
 
     def __add__(self, other):
+        if other is _ZERO:
+            return self
+        if self is _ZERO:
+            return other
         return _Code(f"({self}+{other})")
 
     def __sub__(self, other):
+        if other is _ZERO:
+            return self
+        if self is _ZERO:
+            return _Code(f"(-{other})")
         return _Code(f"({self}-{other})")
 
     def __mul__(self, other):
+        if self is _ZERO or other is _ZERO:
+            return _ZERO
         return _Code(f"({self}*{other})")
+
+    def __rmul__(self, other):
+        return _Code(f"({other!r}*{self})")
+
+    def __abs__(self):
+        return _Code(f"abs({self})")
 
 
 class _RotorCode(str):
     """A rotor part as source; it is written as the right factor."""
 
     def __mul__(self, other):
+        if other is _ZERO:
+            return _ZERO
         return _Code(f"({other}*{self})")
 
 
-def _generate_sandwich():
-    """Compile q -> p q p as straight-line code traced from ``bmul``.
+_ZERO = _Code("0")
+
+
+def _parts(kind, prefix: str, support) -> list:
+    """Stand-ins for four parts named prefix1..prefix4, ``_ZERO`` off the
+    1-based support."""
+    return [kind(f"{prefix}{k}") if k in support else _ZERO
+            for k in range(1, 5)]
+
+
+def _bind(prefix: str, texts) -> tuple[BiQuat, list[str]]:
+    """Stand-ins named prefix1..prefix4 for four parts given as source,
+    and the lines that bind them; a ``_ZERO`` part stays ``_ZERO``."""
+    kept = [k for k, text in enumerate(texts, 1) if text is not _ZERO]
+    names = BiQuat(*_parts(_Code, prefix, kept))
+    return names, [f"    {name} = {text}" for name, text in zip(names, texts)
+                   if text is not _ZERO]
+
+
+def _trace(p_support, q_support) -> tuple[list[str], tuple]:
+    """q -> p q p traced from ``bmul``, for p and q zero off the given
+    1-based supports: the lines that unpack p and q and bind r1..r4 to
+    ``bmul(p, q)``, and the source of the four parts of ``p q p``.
 
     Running ``bmul(bmul(p, q), p)`` on parts that render source gives its
     sums in hamilton's order and sign table.  The first product writes
     each rotor part as the right factor, ``q_k * p_k``: a product commutes
     and the imaginary part of a complex product adds the same two terms,
     so the parts are those of ``p_k * q_k`` bit for bit, without first
-    trying ``float.__mul__`` on a complex.
+    trying ``float.__mul__`` on a complex.  A part off its support is
+    ``_ZERO``: it is not unpacked, and the terms it is a factor of drop
+    out.  With full supports nothing drops.
     """
-    p = Quat(*(_RotorCode(f"p{k}") for k in range(1, 5)))
-    q = BiQuat(*(_Code(f"q{k}") for k in range(1, 5)))
-    r = BiQuat(*(_Code(f"r{k}") for k in range(1, 5)))
+    p = Quat(*_parts(_RotorCode, "p", p_support))
+    q = BiQuat(*_parts(_Code, "q", q_support))
+    r, lines = _bind("r", bmul(p, q))
+    unpack = [f"    {', '.join('_' if v is _ZERO else v for v in values)}"
+              f" = {name}" for values, name in ((p, "p"), (q, "q"))]
+    return [*unpack, *lines], bmul(r, p)
+
+
+def _generate_sandwich():
+    """Compile q -> p q p as straight-line code traced from ``bmul``."""
+    lines, pqp = _trace((1, 2, 3, 4), (1, 2, 3, 4))
     return _codegen.function(__name__, "_sandwich", [
         "def _sandwich(p, q):",
         '    """p q p for a real rotor p, bit for bit bmul(bmul(p, q), p)."""',
-        "    p1, p2, p3, p4 = p",
-        "    q1, q2, q3, q4 = q",
-        *(f"    {name} = {text}" for name, text in zip(r, bmul(p, q))),
+        *lines,
         "    return _new(BiQuat, (",
-        *(f"        {text}," for text in bmul(r, p)),
+        *(f"        {text}," for text in pqp),
         "    ))",
     ], BiQuat=BiQuat, _new=_new)
 
 
 _sandwich = _generate_sandwich()
+
+
+@functools.cache
+def _concurrence_kernel(p_support: tuple[int, ...],
+                        q_support: tuple[int, ...]):
+    """``_concurrence(_sandwich(p, q))`` for p and q zero off the given
+    1-based supports, compiled on first use from the same trace, with
+    ``_concurrence`` traced after it.
+
+    Bit for bit equal to that composition whenever no product of a part
+    of q with a part of p overflows, as for every unit p and q:
+
+    * every dropped term is an exact zero: a finite value times ``0.0``
+      or ``0j``;
+    * adding or subtracting a zero leaves a nonzero float unchanged, so
+      every intermediate value equals the full kernel's up to the sign
+      of a zero;
+    * ``abs`` erases that sign.
+    """
+    lines, pqp = _trace(p_support, q_support)
+    c, c_lines = _bind("c", pqp)
+    return _codegen.function(__name__, "_pqp_concurrence", [
+        "def _pqp_concurrence(p, q):",
+        f'    """C of p q p, p zero off {p_support} and q off {q_support}."""',
+        *lines,
+        *c_lines,
+        f"    return {_concurrence(c)}",
+    ])
 
 
 def concurrence(q: BiQuat) -> float:

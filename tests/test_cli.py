@@ -29,7 +29,7 @@ from biquat import cli
 from biquat.biquaternion import BiQuat
 from biquat.cli import (ParseError, format_biquat, format_complex, main,
                         parse_biquat, parse_quat)
-from biquat.quaternion import Quat
+from biquat.quaternion import DEFAULT_TOL, Quat
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -767,6 +767,50 @@ def test_sweep_deterministic_and_file_output(tmp_path):
     assert code == 0
     assert "wrote 16 rows" in out
     assert target.read_text().splitlines()[0].startswith("alpha,")
+
+
+def _reference_sweep(n):
+    """(CSV text, maximal rows) of an N^4 sweep as csv.writer wrote it,
+    each concurrence through the full sandwich."""
+    from biquat.entanglement import (StateAmp, Variant, _concurrence,
+                                     _sandwich, embed_state)
+    half_pi = math.pi / 2.0
+    mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
+    phase = [2.0 * math.pi * k / n for k in range(n)]
+    rotors = [(math.cos(t), math.sin(t)) for t in mix]
+    text, maximal = io.StringIO(newline=""), 0
+    writer = csv.writer(text)
+    writer.writerow(["alpha", "beta", "a_i", "a_j", "concurrence",
+                     "maximal"])
+    for tq in mix:
+        for pa in phase:
+            alpha = math.cos(tq) * complex(math.cos(pa), math.sin(pa))
+            for pb in phase:
+                beta = math.sin(tq) * complex(math.cos(pb), math.sin(pb))
+                q = embed_state(StateAmp(alpha, beta, Variant.V12))
+                for ai, aj in rotors:
+                    c = _concurrence(_sandwich(Quat(ai, 0.0, aj, 0.0), q))
+                    is_max = c >= 1.0 - DEFAULT_TOL
+                    maximal += is_max
+                    writer.writerow([format_complex(alpha),
+                                     format_complex(beta), repr(ai),
+                                     repr(aj), repr(c), int(is_max)])
+    return text.getvalue(), maximal
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sweep_writes_the_bytes_of_csv_writer_over_the_full_sandwich(
+        n, tmp_path):
+    want, maximal = _reference_sweep(n)
+    code, out, err = run_cli(["sweep", "--grid", str(n)])
+    assert (code, out, err) == (0, want, "")
+    target = tmp_path / "grid.csv"
+    code, out, err = run_cli(["--json", "sweep", "--grid", str(n),
+                              "--out", str(target)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"rows": n ** 4, "maximal_rows": maximal,
+                               "out": str(target)}
+    assert target.read_bytes() == want.encode("ascii")
 
 
 def test_sweep_rejects_bad_grid():

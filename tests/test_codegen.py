@@ -8,7 +8,11 @@ case, ``linecache`` loaded after ``import biquat``, is in test_package.
 
 import ast
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 import traceback
 from pathlib import Path
 
@@ -20,10 +24,15 @@ from biquat.quaternion import Quat
 from biquat.verify import ENTANGLE_CASES
 
 
+_SWEEP_SUPPORTS = ((1, 3), (1, 2))
+
+
 def _generated():
-    """Every function the package generates, the 8 closed forms too."""
+    """Every function the package generates, the 8 closed forms and the
+    sweep's concurrence kernel too."""
     return [exact.oracle_mul, *exact._CONJUGATIONS.values(),
             entanglement._sandwich,
+            entanglement._concurrence_kernel(*_SWEEP_SUPPORTS),
             *(verify._compiled(case.closed_form, *case.p_support)
               for case in ENTANGLE_CASES)]
 
@@ -54,6 +63,7 @@ def test_source_of_each_generated_function_is_its_generated_text(
     exact._generate_product(STRUCTURE)
     exact._generate_conjugations(exact._CONJ_FLIPS)
     entanglement._generate_sandwich()
+    entanglement._concurrence_kernel.__wrapped__(*_SWEEP_SUPPORTS)
     for case in ENTANGLE_CASES:
         verify._compiled.__wrapped__(case.closed_form, *case.p_support)
     shown = {}
@@ -63,13 +73,13 @@ def test_source_of_each_generated_function_is_its_generated_text(
         code = compile(source, f.__code__.co_filename, "exec")
         assert f.__code__ in code.co_consts
     assert shown == texts
-    assert len(texts) == 6 and len(texts["biquat.verify", "closed_form"]) == 8
+    assert len(texts) == 7 and len(texts["biquat.verify", "closed_form"]) == 8
 
 
 def test_each_generated_function_has_its_own_file_name():
     functions = _generated()
     names = [f.__code__.co_filename for f in functions]
-    assert len(set(names)) == len(names) == 13
+    assert len(set(names)) == len(names) == 14
     for f, name in zip(functions, names):
         assert re.fullmatch(rf"<{re.escape(f.__module__)}\.{f.__name__}#\d+>",
                             name), name
@@ -81,7 +91,55 @@ def test_generated_functions_keep_their_module_and_name():
         ("biquat.exact", "conj_quaternion"),
         ("biquat.exact", "conj_hermitian"),
         ("biquat.entanglement", "_sandwich"),
+        ("biquat.entanglement", "_pqp_concurrence"),
         *[("biquat.verify", "closed_form")] * 8]
+
+
+def test_sandwich_source_is_unchanged_by_the_zero_aware_trace():
+    # Full supports drop no term: the text is the one the trace gave
+    # before it knew of a zero part.
+    assert inspect.getsource(entanglement._sandwich) == """\
+def _sandwich(p, q):
+    \"\"\"p q p for a real rotor p, bit for bit bmul(bmul(p, q), p).\"\"\"
+    p1, p2, p3, p4 = p
+    q1, q2, q3, q4 = q
+    r1 = ((((q1*p1)-(q2*p2))-(q3*p3))-(q4*p4))
+    r2 = ((((q2*p1)+(q1*p2))+(q4*p3))-(q3*p4))
+    r3 = ((((q3*p1)-(q4*p2))+(q1*p3))+(q2*p4))
+    r4 = ((((q4*p1)+(q3*p2))-(q2*p3))+(q1*p4))
+    return _new(BiQuat, (
+        ((((r1*p1)-(r2*p2))-(r3*p3))-(r4*p4)),
+        ((((r1*p2)+(r2*p1))+(r3*p4))-(r4*p3)),
+        ((((r1*p3)-(r2*p4))+(r3*p1))+(r4*p2)),
+        ((((r1*p4)+(r2*p3))-(r3*p2))+(r4*p1)),
+    ))
+"""
+
+
+def test_sweep_kernel_reads_only_the_parts_on_its_supports():
+    kernel = entanglement._concurrence_kernel(*_SWEEP_SUPPORTS)
+    source = inspect.getsource(kernel)
+    names = {node.id for node in ast.walk(ast.parse(source))
+             if type(node) is ast.Name}
+    assert {"p1", "p3", "q1", "q2"} <= names
+    assert not names & {"p2", "p4", "q3", "q4"}
+    assert not {"p2", "p4", "q3", "q4"} & set(kernel.__code__.co_varnames)
+    assert source.splitlines()[-1] == "    return (2.0*abs(((c1*c4)-(c2*c3))))"
+
+
+def test_importing_the_cli_compiles_no_kernel_and_loads_no_csv():
+    code = ("import json, sys, biquat.cli\n"
+            "from biquat import _codegen, entanglement\n"
+            "print(json.dumps([sorted(_codegen._SOURCES),\n"
+            "    entanglement._concurrence_kernel.cache_info().currsize,\n"
+            "    'csv' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-"], input=code, env=env,
+                         capture_output=True, text=True, check=True)
+    sources, kernels, csv_loaded = json.loads(out.stdout)
+    assert kernels == 0 and csv_loaded is False
+    assert [name.split("#")[0] for name in sources
+            if "entanglement" in name] == ["<biquat.entanglement._sandwich"]
 
 
 @pytest.mark.parametrize("form, support", [

@@ -588,6 +588,53 @@ def test_sandwich_is_compiled_once_at_import(monkeypatch):
     assert _sandwich.__module__ == "biquat.entanglement"
 
 
+# The sweep's kernel, _concurrence(_sandwich(p, q)) traced for rotors on
+# {1,3} and V12 states.  Parts stay within 1e150 in magnitude, so no
+# product of a part of q with a part of p overflows: the condition under
+# which its docstring proves it bit for bit equal to the composition.
+_KERNEL_REALS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3)),
+    st.floats(-1e150, 1e150))
+_KERNEL_PARTS = st.one_of(
+    st.sampled_from((0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                     complex(-0.0, -0.0))),
+    st.builds(complex, _KERNEL_REALS, _KERNEL_REALS))
+
+
+def _kernel_outcome(f, p, q):
+    """f(p, q) as float.hex, or the OverflowError that abs may raise."""
+    try:
+        return f(p, q).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def _full_kernel(p, q):
+    return entanglement._concurrence(_sandwich(p, q))
+
+
+@settings(max_examples=500)
+@given(_KERNEL_REALS, _KERNEL_REALS, _KERNEL_PARTS, _KERNEL_PARTS)
+def test_sweep_kernel_is_bit_identical_to_the_full_sandwich(a, b, alpha,
+                                                            beta):
+    kernel = entanglement._concurrence_kernel((1, 3), Variant.V12.positions)
+    p, q = Quat(a, 0.0, b, 0.0), BiQuat(alpha, beta, 0j, 0j)
+    assert (_kernel_outcome(kernel, p, q)
+            == _kernel_outcome(_full_kernel, p, q))
+
+
+@pytest.mark.parametrize("variant, sup", CASES)
+def test_concurrence_kernel_matches_the_sandwich_in_each_case(variant, sup):
+    kernel = entanglement._concurrence_kernel(sup, variant.positions)
+    rng = random.Random(79)
+    for _ in range(200):
+        t, u, v, w = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
+        p = _rotor(sup, math.cos(t), math.sin(t))
+        q = embed_state(StateAmp(math.cos(u) * cmath.exp(1j * v),
+                                 math.sin(u) * cmath.exp(1j * w), variant))
+        assert kernel(p, q).hex() == _full_kernel(p, q).hex()
+
+
 # --- concurrence ---------------------------------------------------------
 
 def test_concurrence_values():
