@@ -335,7 +335,12 @@ def _cmd_entangle(ns) -> int:
 
 
 def _cmd_concurrence(ns) -> int:
-    text = sys.stdin.readline() if ns.state == "-" else ns.state
+    if ns.state != "-":
+        text = ns.state
+    elif sys.stdin is None:  # fd 0 was closed when Python started
+        raise ValueError("standard input is closed")
+    else:
+        text = sys.stdin.readline()
     c = concurrence(parse_biquat(text))
     if ns.json:
         print(json.dumps({"concurrence": c}))
@@ -642,6 +647,8 @@ def _help(command, error=None) -> str:
 
 def main(argv=None) -> int:
     try:
+        if sys.stdout is None:  # fd 1 was closed: print would drop the output
+            raise ValueError("standard output is closed")
         try:
             ns = _read_argv(sys.argv[1:] if argv is None else argv)
         except _Stop as stop:

@@ -3,11 +3,13 @@
 Two independent routes are compared for each of the eight admissible
 (state variant, rotor support) pairings:
 
-(a) an exact polynomial-identity check - the structure-constant oracle
-    evaluates p q p at deterministic rational points and must equal the
-    tabulated closed form coordinate by coordinate, with no rounding
-    anywhere.  The closed-form text each report prints is itself what is
-    evaluated, so there is no second copy to drift from it; and
+(a) an exact polynomial identity, proved rather than sampled - the
+    tabulated closed form must have the degrees of p q p and equal the
+    structure-constant oracle's p q p at the 12 basis points of
+    ``IDENTITY_POINTS``, with no rounding anywhere; the two are then
+    equal as polynomials.  The closed-form text each report prints is
+    itself what is expanded and evaluated, so there is no second copy
+    to drift from it; and
 (b) a floating-point check of the concurrence law C = 4|alpha beta
     a_i a_j| at seeded random normalized points, run through the primary
     (float) implementation.
@@ -48,30 +50,22 @@ from . import _codegen
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
                            _concurrence, _sandwich, embed_state, place_pair)
-from .exact import (ExactBiQuat, ExactScalar, _ratio, oracle_mul,
-                    random_rational)
+from .exact import ExactBiQuat, ExactScalar, _ratio, oracle_mul
 from .quaternion import Quat
 
-__all__ = [
-    "EntangleCase",
-    "CaseResult",
-    "TheoremReport",
-    "ExampleResult",
-    "ExamplesReport",
-    "ENTANGLE_CASES",
-    "GOLDEN_EXAMPLES",
-    "IDENTITY_POINTS",
-    "LAW_TOL",
-    "closed_form_product",
-    "verify_theorem",
-    "verify_examples",
-]
+__all__ = ["EntangleCase", "CaseResult", "TheoremReport", "ExampleResult",
+           "ExamplesReport", "ENTANGLE_CASES", "GOLDEN_EXAMPLES",
+           "IDENTITY_POINTS", "LAW_TOL", "closed_form_product",
+           "verify_theorem", "verify_examples"]
 
-# Deterministic rational points per identity check.  The coordinates of
-# p q p are polynomials of total degree <= 3 in the six real symbols, so
-# this many spread points is far beyond what distinguishing any two of
-# the candidate forms requires (the contract asks for at least 9).
-IDENTITY_POINTS = 20
+# The identity points: the state basis (alpha = 1, alpha = i, beta = 1,
+# beta = i) times (a_i, a_j) in (1, 0), (0, 1) and (1, 1).  Whatever its
+# signs, every term of oracle_mul is p{a}*q{b}, and p q p places p twice
+# and q once: each part of each coordinate is linear in the four state
+# parts and a quadratic form in (a_i, a_j), so its 4 x 3 coefficients are
+# read off these points.  A form of that shape (_shape_failures) that
+# agrees at them equals p q p as a polynomial.
+IDENTITY_POINTS = 12
 
 LAW_TOL = 1e-10
 
@@ -160,11 +154,8 @@ def _numerator(entry: dict, part: int, k: int) -> str:
 def _compiled(form: str, i: int, j: int):
     """Compile one closed-form text to a function of (alpha, beta, a_i, a_j).
 
-    ``^`` is read as ``**``.  The text must be a 4-tuple built only from
-    int literals, the names alpha, beta, a{i} and a{j}, binary ``+``,
-    ``-`` and ``*``, unary ``-`` and ``**`` with a non-negative int
-    literal exponent.  Any other name is a NameError and any other syntax
-    a ValueError.  The function is one straight line of integer
+    The text is read by the grammar of the module docstring, through
+    ``_expansion``.  The function is one straight line of integer
     arithmetic, one sum of monomials per numerator; its result is
     canonicalised once, over ``D**k`` for the largest degree k.
     """
@@ -258,24 +249,36 @@ def _exact_pqp(case, alpha, beta, ai, aj) -> ExactBiQuat:
 
 def closed_form_product(case_id: int, alpha: ExactScalar, beta: ExactScalar,
                         a: tuple) -> ExactBiQuat:
-    """Evaluate the tabulated expansion of p q p for one case."""
-    try:
-        case = _CASES_BY_ID[case_id]
-    except (KeyError, TypeError):  # TypeError: an unhashable id
-        raise ValueError(f"invalid case id: {case_id}") from None
+    """Evaluate the tabulated expansion of p q p for one case.  The id must
+    be an int (not a bool, float or Fraction equal to one)."""
+    case = _CASES_BY_ID.get(case_id) if type(case_id) is int else None
+    if case is None:
+        raise ValueError(f"invalid case id: {case_id!r}")
     return case.evaluate(alpha, beta, a)
 
 
 def _identity_points() -> list:
-    # Fixed internal seed: the identity check is the same in every run
-    # regardless of the caller's seed, which only drives the float law.
-    rng = random.Random("identity-points-v1")
-    pts = []
-    for _ in range(IDENTITY_POINTS):
-        alpha = ExactScalar(random_rational(rng), random_rational(rng))
-        beta = ExactScalar(random_rational(rng), random_rational(rng))
-        pts.append((alpha, beta, random_rational(rng), random_rational(rng)))
-    return pts
+    """The ``IDENTITY_POINTS`` basis points (alpha, beta, a_i, a_j)."""
+    one, i = ExactScalar.of(1), ExactScalar.of(0, 1)
+    return [(alpha, beta, ai, aj)
+            for alpha, beta in ((one, _ZERO), (i, _ZERO), (_ZERO, one),
+                                (_ZERO, i))
+            for ai, aj in ((1, 0), (0, 1), (1, 1))]
+
+
+def _shape_failures(case) -> list[str]:
+    """A line for each term of the case's closed form that p q p cannot
+    have: one not of degree 1 in alpha, beta and 2 in a_i, a_j."""
+    i, j = case.p_support
+    names = ("alpha.re", "alpha.im", "beta.re", "beta.im", f"a{i}", f"a{j}")
+    return [f"entry {k}: term " + "*".join(
+                [str(c), *["i"] * part, *(n + f"^{e}" * (e > 1)
+                                          for n, e in zip(names, ex) if e)])
+            + f" has degree ({sum(ex[:4])}, {sum(ex[4:])}) in (alpha, beta; "
+            f"a{i}, a{j}), not (1, 2)"
+            for k, entry in enumerate(_expansion(case.closed_form, i, j), 1)
+            for (ex, part), c in entry.items()
+            if sum(ex[:4]) != 1 or sum(ex[4:]) != 2]
 
 
 class CaseResult(NamedTuple):
@@ -341,7 +344,7 @@ class TheoremReport(NamedTuple):
         lines = [
             "entangling-map law verification",
             f"identity points per case: {self.identity_points} (exact "
-            "rational arithmetic)",
+            "rational arithmetic; with the degree check, a proof)",
             f"law samples per case: {self.samples}   seed: {self.seed}   "
             f"tolerance: {LAW_TOL:g}",
             f"note: {_TABLE_NOTE}",
@@ -351,10 +354,11 @@ class TheoremReport(NamedTuple):
             case, (i, j) = c.case, c.case.p_support
             idl = ("PASS" if c.identity_pass else "FAIL")
             lwl = ("PASS" if c.law_pass else "FAIL")
+            missed = sum(f.startswith("point ") for f in c.identity_failures)
             lines.append(
                 f"case {case.case_id}  q={case.variant.name} p={{{i},{j}}}  "
                 f"identity: {idl} "
-                f"({c.identity_points - len(c.identity_failures)}/"
+                f"({c.identity_points - missed}/"
                 f"{c.identity_points} exact)  law: {lwl} "
                 f"(max err {c.law_max_error:.3e})")
             if case.note:
@@ -371,14 +375,16 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
     """Run both verification routes for all eight cases.
 
     Failures are recorded in the report (with exact counterexamples for
-    route (a)), never raised.
+    route (a)), never raised.  ``samples`` and ``seed`` must be ints.
     """
+    if type(samples) is not int or type(seed) is not int:
+        raise TypeError(f"samples and seed must be int: {samples!r}, {seed!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     points = _identity_points()
     results = []
     for case in ENTANGLE_CASES:
-        failures = []
+        failures = _shape_failures(case)
         for k, (alpha, beta, ai, aj) in enumerate(points):
             got = _exact_pqp(case, alpha, beta, ai, aj)
             want = case.evaluate(alpha, beta, (ai, aj))
@@ -407,15 +413,9 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             if err > max_err:
                 max_err = err
 
-        results.append(CaseResult(
-            case=case,
-            identity_pass=not failures,
-            identity_points=len(points),
-            identity_failures=tuple(failures),
-            law_pass=max_err <= LAW_TOL,
-            law_samples=samples,
-            law_max_error=max_err,
-        ))
+        results.append(CaseResult(case, not failures, len(points),
+                                  tuple(failures), max_err <= LAW_TOL,
+                                  samples, max_err))
     return TheoremReport(samples, seed, len(points), tuple(results))
 
 

@@ -878,6 +878,42 @@ def test_output_into_a_closed_pipe_is_one_error_line(argv):
             1, "biquat: [Errno 32] Broken pipe\n"), unbuffered
 
 
+# A standard stream that is closed when Python starts is None in sys:
+# argv, the stream closed, and the one line the CLI writes instead.
+_CLOSED_STREAMS = [
+    (["polar", "1, 0, 0, 0"], "stdout", "standard output is closed"),
+    (["sweep", "--grid", "1"], "stdout", "standard output is closed"),
+    (["--help"], "stdout", "standard output is closed"),
+    (["concurrence", "-"], "stdin", "standard input is closed"),
+]
+
+
+@pytest.mark.parametrize("argv, stream, message", _CLOSED_STREAMS)
+def test_a_closed_standard_stream_is_one_error_line(monkeypatch, argv,
+                                                    stream, message):
+    monkeypatch.setattr(sys, stream, None)
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (1, f"biquat: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, stream, message", _CLOSED_STREAMS)
+def test_a_closed_standard_stream_in_a_process_is_one_error_line(
+        argv, stream, message):
+    # The shell closes the descriptor before Python starts, as the
+    # console-script step of CI does.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    closed = {"stdin": "0<&-", "stdout": "1>&-"}[stream]
+    done = subprocess.run(
+        f"{shlex.join([sys.executable, '-m', 'biquat', *argv])} {closed}",
+        shell=True, env={**os.environ, "PYTHONPATH": src},
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        1, "", f"biquat: error: {message}\n")
+
+
 # name -> (argv, the program its usage line names, the error message).
 _USAGE_ERRORS = {
     "unknown-command": (["bogus"], "biquat",

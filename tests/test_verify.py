@@ -1,12 +1,15 @@
 """The eight-case report and the golden example audit."""
 
 import ast
+import io
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biquat import exact, verify
+from biquat import cli, exact, verify
 from biquat.entanglement import (StateAmp, Variant, check_restrictions,
                                  embed_state, place_pair)
 from biquat.exact import ExactBiQuat, ExactScalar, oracle_mul
@@ -84,7 +87,9 @@ def test_closed_form_text_matches_the_code_form():
 
 
 def test_closed_form_invalid_case():
-    for case_id in (9, 0, -1, "1", None, 1.5, [1]):
+    # Only an int names a case, not a value that merely equals one.
+    for case_id in (9, 0, -1, "1", None, 1.5, [1], True, 1.0, Fraction(1),
+                    2 + 0j):
         with pytest.raises(ValueError, match="invalid case id"):
             closed_form_product(case_id, ExactScalar.of(1), ExactScalar.of(0),
                                 (1, 0))
@@ -309,6 +314,125 @@ def test_closed_forms_equal_the_oracle_at_drawn_rationals(case, r):
         case.case_id, alpha, beta, (r[4], r[5]))
 
 
+_STATE_BASIS = ((ExactScalar.of(1), ExactScalar.of(0)),
+                (ExactScalar.of(0, 1), ExactScalar.of(0)),
+                (ExactScalar.of(0), ExactScalar.of(1)),
+                (ExactScalar.of(0), ExactScalar.of(0, 1)))
+_ROTOR_BASIS = ((1, 0), (0, 1), (1, 1))
+
+
+def test_identity_points_are_the_basis():
+    assert _identity_points() == [(alpha, beta, ai, aj)
+                                  for alpha, beta in _STATE_BASIS
+                                  for ai, aj in _ROTOR_BASIS]
+    assert len(_identity_points()) == IDENTITY_POINTS == 12
+
+
+@given(st.sampled_from(ENTANGLE_CASES), st.lists(_RATIONALS, min_size=6,
+                                                  max_size=6))
+def test_twelve_oracle_values_determine_p_q_p(case, r):
+    # The premise of the identity route, with no closed form: p q p is
+    # linear in the four state parts and a quadratic form in (a_i, a_j),
+    # so it is the interpolant of its values v(b, a) at the 12 points:
+    # sum_b q_b [v(b,(1,0)) a_i^2 + v(b,(0,1)) a_j^2
+    #            + (v(b,(1,1)) - v(b,(1,0)) - v(b,(0,1))) a_i a_j].
+    ai, aj = r[4], r[5]
+    total = [Fraction(0)] * 8
+    for q_b, (alpha, beta) in zip(r[:4], _STATE_BASIS):
+        v10, v01, v11 = (verify._exact_pqp(case, alpha, beta, *a).coords
+                         for a in _ROTOR_BASIS)
+        for m in range(8):
+            total[m] += q_b * (v10[m] * ai * ai + v01[m] * aj * aj
+                               + (v11[m] - v10[m] - v01[m]) * ai * aj)
+    alpha, beta = ExactScalar(r[0], r[1]), ExactScalar(r[2], r[3])
+    assert ExactBiQuat(total) == verify._exact_pqp(case, alpha, beta, ai, aj)
+
+
+def _scalar(text):
+    """The ExactScalar whose str is ``text``: "r", "si" or "r+si"."""
+    m = re.fullmatch(r"(-?[\d/]+)?(?:([+-]?[\d/]+)i)?", text)
+    return ExactScalar(Fraction(m[1] or 0), Fraction(m[2] or 0))
+
+
+def _replay(case_dict, line):
+    """Check one identity failure line against the case's report entry
+    alone: its closed-form text, p_support and q_variant."""
+    text, (i, j) = case_dict["closed_form"], case_dict["p_support"]
+    if m := re.fullmatch(r"point \d+: alpha=(\S+) beta=(\S+) "
+                         r"a=\((\S+),(\S+)\) oracle=(\(.*\)) "
+                         r"closed-form=(\(.*\))", line):
+        alpha, beta = _scalar(m[1]), _scalar(m[2])
+        ai, aj = Fraction(m[3]), Fraction(m[4])
+        zero = ExactScalar.of(0)
+        p = ExactBiQuat.from_scalars(place_pair(
+            (i, j), ExactScalar.of(ai), ExactScalar.of(aj), zero))
+        q = ExactBiQuat.from_scalars(place_pair(
+            Variant[case_dict["q_variant"]].positions, alpha, beta, zero))
+        oracle = oracle_mul(oracle_mul(p, q), p)
+        form = _reference_eval(text, (i, j), alpha, beta, ai, aj)
+        assert (str(oracle), str(form)) == (m[5], m[6]) and oracle != form
+        return "point"
+    m = re.fullmatch(r"entry (\d): term (-?\d+)((?:\*\S+)*) has degree "
+                     rf"\((\d+), (\d+)\) in \(alpha, beta; a{i}, a{j}\), "
+                     r"not \(1, 2\)", line)
+    names = ("alpha.re", "alpha.im", "beta.re", "beta.im", f"a{i}", f"a{j}")
+    factors = m[3].split("*")[1:]
+    part = factors.count("i")
+    ex = tuple(sum(int(f.partition("^")[2] or 1) for f in factors
+                   if f.partition("^")[0] == n) for n in names)
+    assert (sum(ex[:4]), sum(ex[4:])) == (int(m[4]), int(m[5])) != (1, 2)
+    entry = verify._expansion(text, i, j)[int(m[1]) - 1]
+    assert entry[ex, part] == int(m[2])
+    return "term"
+
+
+# One mutant of each kind: the case it is made in, the text replaced and
+# its replacement, and the points that still agree and the wrong terms.
+# A flipped sign, a term of too high a degree, and a term of the wrong
+# degrees that is zero at all 12 points, so only the degree check sees it
+# (alpha*beta expands into four real terms).
+_CASE_MUTANTS = {
+    "sign-flip": (3, "(-2*alpha*", "(2*alpha*", 10, 0),
+    "degree-raising": (1, "(alpha*(a1^2-a3^2)", "(alpha*(a1^2-a3^2) + a1^3",
+                       4, 1),
+    "zero-on-the-points": (1, "(alpha*(a1^2-a3^2)",
+                           "(alpha*(a1^2-a3^2) + alpha*beta*a1", 12, 4),
+}
+
+
+@pytest.mark.parametrize("case_id, old, new, exact, terms",
+                         _CASE_MUTANTS.values(), ids=_CASE_MUTANTS)
+def test_each_mutant_fails_only_its_own_case(monkeypatch, case_id, old, new,
+                                             exact, terms):
+    case = ENTANGLE_CASES[case_id - 1]
+    mutant = case._replace(closed_form=case.closed_form.replace(old, new, 1))
+    assert mutant.closed_form != case.closed_form
+    cases = list(ENTANGLE_CASES)
+    cases[case_id - 1] = mutant
+    monkeypatch.setattr(verify, "ENTANGLE_CASES", tuple(cases))
+    report = verify_theorem(samples=5, seed=3)
+    assert [c.case.case_id for c in report.cases if not c.passed] == [case_id]
+    bad = report.cases[case_id - 1]
+    assert not bad.identity_pass and bad.law_pass
+    # Each failure line reproduces from the report's own entry.
+    case_dict = report.to_dict()["cases"][case_id - 1]
+    kinds = [_replay(case_dict, line)
+             for line in case_dict["identity"]["failures"]]
+    assert (kinds.count("point"), kinds.count("term")) == (
+        IDENTITY_POINTS - exact, terms)
+    # The text counts the points that agree, not the terms.
+    text = report.to_text()
+    assert (f"case {case_id}  q={case.variant.name} p={{{case.p_support[0]},"
+            f"{case.p_support[1]}}}  identity: FAIL ({exact}/"
+            f"{IDENTITY_POINTS} exact)") in text
+    assert text.count("        counterexample: ") == len(kinds)
+    # The CLI reports the failure with exit 3.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["verify-theorem", "--samples", "5"]) == 3
+    assert "overall: 7/8 cases pass" in out.getvalue()
+
+
 def test_verify_theorem_passes():
     report = verify_theorem(samples=25, seed=3)
     assert report.all_pass
@@ -325,6 +449,14 @@ def test_verify_theorem_passes():
 def test_verify_theorem_rejects_bad_samples():
     with pytest.raises(ValueError, match="at least 1"):
         verify_theorem(samples=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": True}, {"samples": 2.0}, {"samples": "5"},
+    {"seed": None}, {"seed": 1.5}, {"seed": [1]}, {"seed": False}], ids=repr)
+def test_verify_theorem_takes_only_int_samples_and_seed(kwargs):
+    with pytest.raises(TypeError, match="must be int"):
+        verify_theorem(**kwargs)
 
 
 def test_verify_theorem_deterministic():
