@@ -318,6 +318,55 @@ def _concurrence_kernel(p_support: tuple[int, ...],
     ])
 
 
+@functools.cache
+def _law_kernel(masks: int):
+    """``_sandwich(p, q)`` for a pair the gate admits under the law,
+    ``masks`` being ``pm << 4 | qm`` as for ``_VERDICT``, compiled on first
+    use from the same trace with the parts off the masks dropped: 12 of
+    the 32 products.  It returns None, for the caller to run
+    ``_sandwich``, unless two guards hold:
+
+    * every part off the masks is exactly zero (a part of at most
+      DEFAULT_TOL is off the mask, yet not zero);
+    * every real and imaginary part of q on its mask is at least 2**-1000
+      in magnitude (so a float amplitude, whose imaginary part is 0, runs
+      ``_sandwich``).
+
+    Then, for p and q that passed the gate, its result is ``_sandwich``'s
+    bit for bit:
+
+    * each part of r = p q is one kept product, and each part of p q p a
+      sum of two; the full sandwich only adds terms that are zero;
+    * a kept product cannot underflow to zero: p's parts on its mask
+      exceed DEFAULT_TOL > 2**-30, so every real and imaginary part of a
+      product of q with p, and of that with p, is above 2**-1060;
+    * adding a zero to a nonzero float is exact, and ``0 - x`` is ``-x``,
+      the kernel's negation;
+    * a sum of two kept products that cancels is +0 in both, and +0 stays
+      +0 whatever zero is added to or subtracted from it.
+    """
+    pm, qm = masks >> 4, masks & 15
+    lines, pqp = _trace(_SUPPORTS[pm], _SUPPORTS[qm])
+    off = " or ".join(f"{name}{k + 1}" for name, mask in (("p", pm), ("q", qm))
+                      for k in range(4) if not mask >> k & 1)
+    guard = "\n            or ".join([off, *(
+        f"not abs(q{k + 1}.{part}) >= {2.0 ** -1000!r}"
+        for k in _INDICES[qm] for part in ("real", "imag"))])
+    return _codegen.function(__name__, "_law_sandwich", [
+        "def _law_sandwich(p, q):",
+        f'    """p q p for p on {sorted(_SUPPORTS[pm])} and q on '
+        f'{sorted(_SUPPORTS[qm])}, or None."""',
+        "    p1, p2, p3, p4 = p",
+        "    q1, q2, q3, q4 = q",
+        f"    if ({guard}):",
+        "        return None",
+        *lines[2:],  # past the trace's unpack, which skips the off parts
+        "    return _new(BiQuat, (",
+        *(f"        {text}," for text in pqp),
+        "    ))",
+    ], BiQuat=BiQuat, _new=_new)
+
+
 def concurrence(q: BiQuat) -> float:
     """C = 2|c1*c4 - c2*c3| for a unit-norm state.
 
@@ -433,6 +482,15 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     attached) when p fails R1-R3.  A state with a vanishing amplitude is
     not rejected - the map is still well defined - but the outcome's
     report notes the degeneracy since no entanglement can result.
+
+    A state the law covers goes to the kernel of its mask pair
+    (``_law_kernel``), which runs 12 of the sandwich's 32 products when
+    every part off the masks is exactly zero and every real and imaginary
+    part of q on its mask is at least 2**-1000 in magnitude; otherwise,
+    and for every other state, ``_sandwich`` runs.  Either way the result
+    is ``_sandwich``'s bit for bit: the dropped products are zeros, which
+    leave a nonzero sum unchanged, and the guards keep every kept product
+    nonzero and a cancelled sum +0 in both.
     """
     c_p, pm, qm, verdict = _gate(p, q)
     if not verdict:
@@ -441,7 +499,10 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
         True, True, True, _SUPPORTS[pm], _SUPPORTS[qm], c_p,
         _DEGENERATE_NOTE if verdict == _DEGENERATE else "ok"))
     q1, q2, q3, q4 = q
-    result = r1, r2, r3, r4 = _sandwich(p, q)
+    result = _law_kernel(pm << 4 | qm)(p, q) if verdict == _LAW else None
+    if result is None:
+        result = _sandwich(p, q)
+    r1, r2, r3, r4 = result
     return _new(EntangleOutcome, (result, 2.0 * abs(q1 * q4 - q2 * q3),
                                   2.0 * abs(r1 * r4 - r2 * r3), report))
 

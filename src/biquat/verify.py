@@ -12,7 +12,9 @@ Two independent routes are compared for each of the eight admissible
     to drift from it; and
 (b) a floating-point check of the concurrence law C = 4|alpha beta
     a_i a_j| at seeded random normalized points, run through the primary
-    (float) implementation.
+    (float) implementation: the concurrence kernel traced from ``bmul``
+    for the case's supports, bit for bit ``_concurrence(_sandwich(p, q))``
+    on unit inputs.
 
 The tabulated reference forms carry two known misprints, kept as data
 rather than silently fixed: case 2 lists five entries with a repeated
@@ -49,7 +51,7 @@ from typing import NamedTuple
 from . import _codegen
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
-                           _concurrence, _sandwich, embed_state, place_pair)
+                           _concurrence_kernel, embed_state, place_pair)
 from .exact import ExactBiQuat, ExactScalar, _ratio, oracle_mul
 from .quaternion import Quat
 
@@ -394,6 +396,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
                     f"oracle={got} closed-form={want}")
 
         rng = random.Random(f"{seed}/{case.case_id}")
+        kernel = _concurrence_kernel(case.p_support, case.variant.positions)
         max_err = 0.0
         for _ in range(samples):
             while True:
@@ -407,7 +410,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             ai_f, aj_f = math.cos(t), math.sin(t)
             q_f = embed_state(StateAmp(alpha_f, beta_f, case.variant))
             p_f = Quat(*place_pair(case.p_support, ai_f, aj_f, 0.0))
-            c = _concurrence(_sandwich(p_f, q_f))
+            c = kernel(p_f, q_f)
             predicted = 4.0 * abs(alpha_f) * abs(beta_f) * abs(ai_f * aj_f)
             err = abs(c - predicted)
             if err > max_err:

@@ -25,14 +25,18 @@ from biquat.verify import ENTANGLE_CASES
 
 
 _SWEEP_SUPPORTS = ((1, 3), (1, 2))
+# The kernel keys of the eight pairings the law covers, pm << 4 | qm.
+_LAW_MASKS = [masks for masks, verdict in enumerate(entanglement._VERDICT)
+              if verdict == entanglement._LAW]
 
 
 def _generated():
-    """Every function the package generates, the 8 closed forms and the
-    sweep's concurrence kernel too."""
+    """Every function the package generates, the 8 closed forms, the
+    sweep's concurrence kernel and entangle's 8 law kernels too."""
     return [exact.oracle_mul, *exact._CONJUGATIONS.values(),
             entanglement._sandwich,
             entanglement._concurrence_kernel(*_SWEEP_SUPPORTS),
+            *map(entanglement._law_kernel, _LAW_MASKS),
             *(verify._compiled(case.closed_form, *case.p_support)
               for case in ENTANGLE_CASES)]
 
@@ -64,6 +68,8 @@ def test_source_of_each_generated_function_is_its_generated_text(
     exact._generate_conjugations(exact._CONJ_FLIPS)
     entanglement._generate_sandwich()
     entanglement._concurrence_kernel.__wrapped__(*_SWEEP_SUPPORTS)
+    for masks in _LAW_MASKS:
+        entanglement._law_kernel.__wrapped__(masks)
     for case in ENTANGLE_CASES:
         verify._compiled.__wrapped__(case.closed_form, *case.p_support)
     shown = {}
@@ -73,13 +79,14 @@ def test_source_of_each_generated_function_is_its_generated_text(
         code = compile(source, f.__code__.co_filename, "exec")
         assert f.__code__ in code.co_consts
     assert shown == texts
-    assert len(texts) == 7 and len(texts["biquat.verify", "closed_form"]) == 8
+    assert len(texts) == 8 and len(texts["biquat.verify", "closed_form"]) == 8
+    assert len(texts["biquat.entanglement", "_law_sandwich"]) == 8
 
 
 def test_each_generated_function_has_its_own_file_name():
     functions = _generated()
     names = [f.__code__.co_filename for f in functions]
-    assert len(set(names)) == len(names) == 14
+    assert len(set(names)) == len(names) == 22
     for f, name in zip(functions, names):
         assert re.fullmatch(rf"<{re.escape(f.__module__)}\.{f.__name__}#\d+>",
                             name), name
@@ -92,6 +99,7 @@ def test_generated_functions_keep_their_module_and_name():
         ("biquat.exact", "conj_hermitian"),
         ("biquat.entanglement", "_sandwich"),
         ("biquat.entanglement", "_pqp_concurrence"),
+        *[("biquat.entanglement", "_law_sandwich")] * 8,
         *[("biquat.verify", "closed_form")] * 8]
 
 
@@ -127,11 +135,26 @@ def test_sweep_kernel_reads_only_the_parts_on_its_supports():
     assert source.splitlines()[-1] == "    return (2.0*abs(((c1*c4)-(c2*c3))))"
 
 
+def test_law_kernels_keep_12_of_the_32_products():
+    def products(f):
+        return sum(type(node) is ast.BinOp and type(node.op) is ast.Mult
+                   for node in ast.walk(ast.parse(inspect.getsource(f))))
+    def mask(support):
+        return sum(1 << (k - 1) for k in support)
+    assert products(entanglement._sandwich) == 32
+    assert _LAW_MASKS == sorted(
+        mask(case.p_support) << 4 | mask(case.variant.positions)
+        for case in ENTANGLE_CASES)
+    for masks in _LAW_MASKS:
+        assert products(entanglement._law_kernel(masks)) == 12
+
+
 def test_importing_the_cli_compiles_no_kernel_and_loads_no_csv():
     code = ("import json, sys, biquat.cli\n"
             "from biquat import _codegen, entanglement\n"
             "print(json.dumps([sorted(_codegen._SOURCES),\n"
-            "    entanglement._concurrence_kernel.cache_info().currsize,\n"
+            "    entanglement._concurrence_kernel.cache_info().currsize\n"
+            "    + entanglement._law_kernel.cache_info().currsize,\n"
             "    'csv' in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-S", "-"], input=code, env=env,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biquat import biquaternion, entanglement, quaternion
+from biquat import _codegen, biquaternion, entanglement, quaternion
 from biquat.biquaternion import BiQuat, bmul, from_quat, norm_h
 from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, EntangleOutcome,
                                  RestrictionError, RestrictionReport,
@@ -633,6 +633,124 @@ def test_concurrence_kernel_matches_the_sandwich_in_each_case(variant, sup):
         q = embed_state(StateAmp(math.cos(u) * cmath.exp(1j * v),
                                  math.sin(u) * cmath.exp(1j * w), variant))
         assert kernel(p, q).hex() == _full_kernel(p, q).hex()
+
+
+# --- the law kernel behind entangle --------------------------------------
+
+def _law_masks(variant, sup) -> int:
+    """The kernel key of a pairing: pm << 4 | qm, as for _VERDICT."""
+    def mask(support):
+        return sum(1 << (k - 1) for k in support)
+    return mask(sup) << 4 | mask(variant.positions)
+
+
+def _bits(q) -> list:
+    """Each part's type and the float.hex of its real and imaginary part."""
+    return [(type(c), c.real.hex(), c.imag.hex()) for c in q]
+
+
+def _unguarded(masks):
+    """The law kernel's trace compiled without its guards."""
+    lines, pqp = entanglement._trace(entanglement._SUPPORTS[masks >> 4],
+                                     entanglement._SUPPORTS[masks & 15])
+    return _codegen.function(__name__, "_unguarded", [
+        "def _unguarded(p, q):", *lines,
+        f"    return ({', '.join(pqp)},)"])
+
+
+_TINY = 2.0 ** -1000
+# A real or imaginary part of an amplitude: signed zeros, subnormals, the
+# guard's bound and the float below it, the smallest subnormal once more,
+# as a product of it with a part of p can round to a zero, or any value up
+# to 1 in magnitude.
+_AMP_EDGES = st.one_of(
+    st.sampled_from(_EDGE_REALS + (_TINY, -_TINY, math.nextafter(_TINY, 0.0),
+                                   -1e-300)),
+    st.sampled_from((5e-324, -5e-324)), st.floats(-1.0, 1.0))
+# Where the parts off the masks come from: in three draws of four each is
+# exactly zero, of either sign; in the fourth each may also be not zero,
+# yet at most DEFAULT_TOL.
+_OFF_MASK = st.sampled_from((*[st.sampled_from((0.0, -0.0))] * 3,
+                             st.sampled_from((0.0, -0.0, 1e-12, -1e-300))))
+
+
+@st.composite
+def _law_inputs(draw):
+    """A unit rotor and state on a pairing the law covers, which pass
+    the gate: each amplitude has one part of at least 0.1 in magnitude
+    and the other drawn from the edges."""
+    variant, sup = draw(st.sampled_from(CASES))
+    t = draw(st.floats(0.01, math.pi / 2 - 0.01)) + draw(
+        st.integers(0, 3)) * math.pi / 2
+    off = draw(_OFF_MASK)
+    p = [draw(off) for _ in range(4)]
+    p[sup[0] - 1], p[sup[1] - 1] = math.cos(t), math.sin(t)
+    q = [complex(draw(off), draw(off)) for _ in range(4)]
+    amps = []
+    for _ in range(2):
+        big = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from((1.0, -1.0)))
+        edge = draw(_AMP_EDGES)
+        amps.append((big, edge) if draw(st.booleans()) else (edge, big))
+    n = math.sqrt(math.fsum(x * x for amp in amps for x in amp))
+    for k, (re, im) in zip(variant.positions, amps):
+        q[k - 1] = complex(re / n, im / n)
+    return Quat(*p), BiQuat(*q)
+
+
+@settings(max_examples=400)
+@given(_law_inputs())
+def test_entangle_is_bit_identical_to_the_full_sandwich(pq):
+    p, q = pq
+    assert entanglement._gate(p, q)[3] == entanglement._LAW
+    assert _bits(entangle(p, q).result) == _bits(_sandwich(p, q))
+
+
+@pytest.mark.parametrize("variant, sup", CASES)
+def test_law_kernel_runs_on_amplitudes_with_every_part_nonzero(variant, sup):
+    kernel = entanglement._law_kernel(_law_masks(variant, sup))
+    rng = random.Random(83)
+    for _ in range(200):
+        t, u, v, w = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
+        p = _rotor(sup, math.cos(t), math.sin(t))
+        q = embed_state(StateAmp(math.cos(u) * cmath.exp(1j * v),
+                                 math.sin(u) * cmath.exp(1j * w), variant))
+        result = kernel(p, q)
+        assert result is not None
+        assert _bits(result) == _bits(_sandwich(p, q))
+        assert _bits(entangle(p, q).result) == _bits(result)
+
+
+@pytest.mark.parametrize("variant, sup, p, q, unguarded_differs", [
+    # The README example: its real parts are zero, so the kernel declines.
+    (Variant.V12, (1, 3), Quat(INV_SQRT2, 0.0, INV_SQRT2, 0.0),
+     BiQuat(I_SQRT2, -I_SQRT2, 0j, 0j), False),
+    # Zero real and imaginary parts: without the guard c1 reads (-0+0j).
+    (Variant.V12, (1, 3), Quat(-INV_SQRT2, 0.0, INV_SQRT2, 0.0),
+     BiQuat(-0.6j, 0.8 + 0j, 0j, 0j), True),
+    # A subnormal imaginary part that a kept product rounds to zero.
+    (Variant.V13, (3, 4), Quat(0.0, 0.0, 0.9353335680486682,
+                               -0.35376703701920487),
+     BiQuat(-0.0733 + 5e-324j, 0j,
+            -0.312245512887238 + 0.9471693880620222j, 0j), True),
+    # Float amplitudes: without the guard some parts come out as floats.
+    (Variant.V12, (1, 3), Quat(-0.6, 0.0, 0.8, 0.0),
+     BiQuat(0.6, 0.8j, 0j, 0j), True),
+    # Parts off the masks that are not zero, in q and in p.
+    (Variant.V12, (1, 3), Quat(0.6, 0.0, 0.8, 0.0),
+     BiQuat(0.48 + 0.36j, 0.64 + 0.48j, 1e-12j, 0j), True),
+    (Variant.V12, (1, 3), Quat(0.6, -1e-12, 0.8, 0.0),
+     BiQuat(0.48 + 0.36j, 0.64 + 0.48j, 0j, 0j), True),
+], ids=["readme", "signed-zero", "subnormal", "float-parts", "q-off-mask",
+        "p-off-mask"])
+def test_law_kernel_declines_what_it_would_get_wrong(variant, sup, p, q,
+                                                     unguarded_differs):
+    masks = _law_masks(variant, sup)
+    assert entanglement._gate(p, q)[1:] == (masks >> 4, masks & 15,
+                                            entanglement._LAW)
+    assert entanglement._law_kernel(masks)(p, q) is None
+    want = _bits(_sandwich(p, q))
+    assert _bits(entangle(p, q).result) == want
+    assert (_bits(_unguarded(masks)(p, q)) != want) is unguarded_differs
 
 
 # --- concurrence ---------------------------------------------------------
