@@ -32,9 +32,9 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
-from .entanglement import (RestrictionError, StateAmp, Variant,
-                           _concurrence_kernel, check_restrictions,
-                           concurrence, embed_state, entangle)
+from .entanglement import (RestrictionError, StateAmp, Variant, _kernel,
+                           _key, check_restrictions, concurrence,
+                           embed_state, entangle)
 from .quaternion import DEFAULT_TOL, Quat, _new, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
@@ -81,10 +81,21 @@ def _reject_constant(name: str):
     raise ParseError(f"non-finite number {name}")
 
 
-# What json.loads(text, parse_constant=_reject_constant) builds on every
-# call, built once.  (json.loads also refuses a leading BOM, but such
-# text never reaches the JSON form: it does not start with "{".)
-_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _unique_keys(pairs: list) -> dict:
+    # A JSON object, at any depth, as a dict; a repeated key is refused.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated JSON key {_encode_str(key)}")
+        obj[key] = value
+    return obj
+
+
+# What json.loads(text, parse_constant=..., object_pairs_hook=...) builds
+# on every call, built once.  (json.loads also refuses a leading BOM, but
+# such text never reaches the JSON form: it does not start with "{".)
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+                                 object_pairs_hook=_unique_keys)
 
 
 def _parse_json_biquat(text: str) -> BiQuat:
@@ -436,7 +447,7 @@ def _cmd_sweep(ns) -> int:
     phase = [2.0 * math.pi * k / n for k in range(n)]
     # Rotors on {1,3} and V12 states are unit by construction: each row
     # runs the kernel _concurrence(_sandwich(p, q)) traced for them.
-    kernel = _concurrence_kernel((1, 3), Variant.V12.positions)
+    kernel = _kernel(_key((1, 3), Variant.V12.positions), concurrence=True)
     rotors = [(Quat(ai, 0.0, aj, 0.0), f"{ai!r},{aj!r},")
               for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]
     threshold = 1.0 - DEFAULT_TOL

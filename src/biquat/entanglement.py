@@ -166,6 +166,14 @@ def _verdict_table() -> tuple[int, ...]:
 
 _VERDICT = _verdict_table()
 
+
+def _key(p_support, q_support) -> int:
+    """``pm << 4 | qm`` for a rotor and a state support, 1-based: the
+    index into ``_VERDICT`` and the key of ``_kernel``."""
+    return (_SUPPORTS.index(frozenset(p_support)) << 4
+            | _SUPPORTS.index(frozenset(q_support)))
+
+
 _DEGENERATE_NOTE = ("degenerate amplitudes: a state coefficient is zero, "
                     "concurrence stays 0")
 
@@ -254,8 +262,9 @@ def _bind(prefix: str, texts) -> tuple[BiQuat, list[str]]:
 
 def _trace(p_support, q_support) -> tuple[list[str], tuple]:
     """q -> p q p traced from ``bmul``, for p and q zero off the given
-    1-based supports: the lines that unpack p and q and bind r1..r4 to
-    ``bmul(p, q)``, and the source of the four parts of ``p q p``.
+    1-based supports: the lines that bind r1..r4 to ``bmul(p, q)`` from
+    the parts p1..p4 and q1..q4, and the source of the four parts of
+    ``p q p``.
 
     Running ``bmul(bmul(p, q), p)`` on parts that render source gives its
     sums in hamilton's order and sign table.  The first product writes
@@ -263,68 +272,26 @@ def _trace(p_support, q_support) -> tuple[list[str], tuple]:
     and the imaginary part of a complex product adds the same two terms,
     so the parts are those of ``p_k * q_k`` bit for bit, without first
     trying ``float.__mul__`` on a complex.  A part off its support is
-    ``_ZERO``: it is not unpacked, and the terms it is a factor of drop
-    out.  With full supports nothing drops.
+    ``_ZERO``: the terms it is a factor of drop out.  With full supports
+    nothing drops.
     """
     p = Quat(*_parts(_RotorCode, "p", p_support))
-    q = BiQuat(*_parts(_Code, "q", q_support))
-    r, lines = _bind("r", bmul(p, q))
-    unpack = [f"    {', '.join('_' if v is _ZERO else v for v in values)}"
-              f" = {name}" for values, name in ((p, "p"), (q, "q"))]
-    return [*unpack, *lines], bmul(r, p)
-
-
-def _generate_sandwich():
-    """Compile q -> p q p as straight-line code traced from ``bmul``."""
-    lines, pqp = _trace((1, 2, 3, 4), (1, 2, 3, 4))
-    return _codegen.function(__name__, "_sandwich", [
-        "def _sandwich(p, q):",
-        '    """p q p for a real rotor p, bit for bit bmul(bmul(p, q), p)."""',
-        *lines,
-        "    return _new(BiQuat, (",
-        *(f"        {text}," for text in pqp),
-        "    ))",
-    ], BiQuat=BiQuat, _new=_new)
-
-
-_sandwich = _generate_sandwich()
+    r, lines = _bind("r", bmul(p, BiQuat(*_parts(_Code, "q", q_support))))
+    return lines, bmul(r, p)
 
 
 @functools.cache
-def _concurrence_kernel(p_support: tuple[int, ...],
-                        q_support: tuple[int, ...]):
-    """``_concurrence(_sandwich(p, q))`` for p and q zero off the given
-    1-based supports, compiled on first use from the same trace, with
-    ``_concurrence`` traced after it.
+def _kernel(masks: int, concurrence: bool = False):
+    """q -> p q p for p and q zero off the masks, ``masks`` being
+    ``pm << 4 | qm`` as for ``_VERDICT``, compiled from ``_trace`` on
+    first use: it returns the product or, with ``concurrence``, the
+    ``_concurrence`` of it, traced after it.  A kernel unpacks only the
+    parts it reads.  Full masks drop nothing, and their product, compiled
+    at import, is ``_sandwich``.
 
-    Bit for bit equal to that composition whenever no product of a part
-    of q with a part of p overflows, as for every unit p and q:
-
-    * every dropped term is an exact zero: a finite value times ``0.0``
-      or ``0j``;
-    * adding or subtracting a zero leaves a nonzero float unchanged, so
-      every intermediate value equals the full kernel's up to the sign
-      of a zero;
-    * ``abs`` erases that sign.
-    """
-    lines, pqp = _trace(p_support, q_support)
-    c, c_lines = _bind("c", pqp)
-    return _codegen.function(__name__, "_pqp_concurrence", [
-        "def _pqp_concurrence(p, q):",
-        f'    """C of p q p, p zero off {p_support} and q off {q_support}."""',
-        *lines,
-        *c_lines,
-        f"    return {_concurrence(c)}",
-    ])
-
-
-@functools.cache
-def _law_kernel(masks: int):
-    """``_sandwich(p, q)`` for a pair the gate admits under the law,
-    ``masks`` being ``pm << 4 | qm`` as for ``_VERDICT``, compiled on first
-    use from the same trace with the parts off the masks dropped: 12 of
-    the 32 products.  It returns None, for the caller to run
-    ``_sandwich``, unless two guards hold:
+    A product that drops a part serves a pair the gate admits under the
+    law: it keeps 12 of the 32 products.  It returns None, for the caller
+    to run ``_sandwich``, unless two guards hold:
 
     * every part off the masks is exactly zero (a part of at most
       DEFAULT_TOL is off the mask, yet not zero);
@@ -332,39 +299,55 @@ def _law_kernel(masks: int):
       in magnitude (so a float amplitude, whose imaginary part is 0, runs
       ``_sandwich``).
 
-    Then, for p and q that passed the gate, its result is ``_sandwich``'s
-    bit for bit:
+    Each kernel gives the bits of the full composition, as every dropped
+    term is an exact zero, a finite value times ``0.0`` or ``0j``, and
+    adding or subtracting a zero leaves a nonzero float unchanged.  So
+    every intermediate value equals the full kernel's up to the sign of a
+    zero, and two cases settle that sign:
 
-    * each part of r = p q is one kept product, and each part of p q p a
-      sum of two; the full sandwich only adds terms that are zero;
-    * a kept product cannot underflow to zero: p's parts on its mask
+    * a concurrence: ``abs`` erases it, whenever no product of a part of
+      q with a part of p overflows, as for every unit p and q;
+    * a guarded product, for p and q that passed the gate: each part of
+      r = p q is one kept product, and each part of p q p a sum of two.
+      A kept product cannot underflow to zero: p's parts on its mask
       exceed DEFAULT_TOL > 2**-30, so every real and imaginary part of a
-      product of q with p, and of that with p, is above 2**-1060;
-    * adding a zero to a nonzero float is exact, and ``0 - x`` is ``-x``,
-      the kernel's negation;
-    * a sum of two kept products that cancels is +0 in both, and +0 stays
-      +0 whatever zero is added to or subtracted from it.
+      product of q with p, and of that with p, is above 2**-1060.  ``0 -
+      x`` is ``-x``, the kernel's negation, and a sum of two kept products
+      that cancels is +0 in both, which stays +0 whatever zero is added to
+      or subtracted from it.
     """
     pm, qm = masks >> 4, masks & 15
     lines, pqp = _trace(_SUPPORTS[pm], _SUPPORTS[qm])
-    off = " or ".join(f"{name}{k + 1}" for name, mask in (("p", pm), ("q", qm))
-                      for k in range(4) if not mask >> k & 1)
-    guard = "\n            or ".join([off, *(
-        f"not abs(q{k + 1}.{part}) >= {2.0 ** -1000!r}"
-        for k in _INDICES[qm] for part in ("real", "imag"))])
-    return _codegen.function(__name__, "_law_sandwich", [
-        "def _law_sandwich(p, q):",
-        f'    """p q p for p on {sorted(_SUPPORTS[pm])} and q on '
-        f'{sorted(_SUPPORTS[qm])}, or None."""',
-        "    p1, p2, p3, p4 = p",
-        "    q1, q2, q3, q4 = q",
-        f"    if ({guard}):",
-        "        return None",
-        *lines[2:],  # past the trace's unpack, which skips the off parts
-        "    return _new(BiQuat, (",
-        *(f"        {text}," for text in pqp),
-        "    ))",
+    on = f"p on {sorted(_SUPPORTS[pm])} and q on {sorted(_SUPPORTS[qm])}"
+    read, guard = (pm, qm), []
+    tail = ["    return _new(BiQuat, (",
+            *(f"        {text}," for text in pqp), "    ))"]
+    if concurrence:
+        name, doc = "_pqp_concurrence", f"C of p q p for {on}."
+        c, tail = _bind("c", pqp)
+        tail.append(f"    return {_concurrence(c)}")
+    elif masks == 0xFF:
+        name, doc = "_sandwich", ("p q p for a real rotor p, bit for bit "
+                                  "bmul(bmul(p, q), p).")
+    else:  # the guard reads every part, so the unpack names them all
+        name, doc = "_law_sandwich", f"p q p for {on}, or None."
+        read = (15, 15)
+        off = " or ".join(f"{x}{k + 1}" for x, mask in zip("pq", (pm, qm))
+                          for k in range(4) if not mask >> k & 1)
+        tests = "\n            or ".join([off, *(
+            f"not abs(q{k + 1}.{part}) >= {2.0 ** -1000!r}"
+            for k in _INDICES[qm] for part in ("real", "imag"))])
+        guard = [f"    if ({tests}):", "        return None"]
+    unpack = ["    " + ", ".join(f"{x}{k + 1}" if mask >> k & 1 else "_"
+                                 for k in range(4)) + f" = {x}"
+              for x, mask in zip("pq", read)]
+    return _codegen.function(__name__, name, [
+        f"def {name}(p, q):", f'    """{doc}"""', *unpack, *guard, *lines,
+        *tail,
     ], BiQuat=BiQuat, _new=_new)
+
+
+_sandwich = _kernel(0xFF)
 
 
 def concurrence(q: BiQuat) -> float:
@@ -483,8 +466,8 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     not rejected - the map is still well defined - but the outcome's
     report notes the degeneracy since no entanglement can result.
 
-    A state the law covers goes to the kernel of its mask pair
-    (``_law_kernel``), which runs 12 of the sandwich's 32 products when
+    A state the law covers goes to the product kernel of its mask pair
+    (``_kernel``), which runs 12 of the sandwich's 32 products when
     every part off the masks is exactly zero and every real and imaginary
     part of q on its mask is at least 2**-1000 in magnitude; otherwise,
     and for every other state, ``_sandwich`` runs.  Either way the result
@@ -499,7 +482,7 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
         True, True, True, _SUPPORTS[pm], _SUPPORTS[qm], c_p,
         _DEGENERATE_NOTE if verdict == _DEGENERATE else "ok"))
     q1, q2, q3, q4 = q
-    result = _law_kernel(pm << 4 | qm)(p, q) if verdict == _LAW else None
+    result = _kernel(pm << 4 | qm)(p, q) if verdict == _LAW else None
     if result is None:
         result = _sandwich(p, q)
     r1, r2, r3, r4 = result

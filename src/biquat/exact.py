@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _codegen
+
+if TYPE_CHECKING:  # random.Random is named in annotations only
+    import random
 
 __all__ = [
     "ExactScalar",

@@ -51,8 +51,8 @@ from typing import NamedTuple
 from . import _codegen
 from .biquaternion import BiQuat
 from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
-                           _concurrence_kernel, embed_state, place_pair)
-from .exact import ExactBiQuat, ExactScalar, _ratio, oracle_mul
+                           _kernel, _key, embed_state, place_pair)
+from .exact import ExactBiQuat, ExactScalar, _ratio, _reduced, oracle_mul
 from .quaternion import Quat
 
 __all__ = ["EntangleCase", "CaseResult", "TheoremReport", "ExampleResult",
@@ -159,7 +159,8 @@ def _compiled(form: str, i: int, j: int):
     The text is read by the grammar of the module docstring, through
     ``_expansion``.  The function is one straight line of integer
     arithmetic, one sum of monomials per numerator; its result is
-    canonicalised once, over ``D**k`` for the largest degree k.
+    reduced once, over ``D**k`` for the largest degree k, by
+    ``exact._reduced``: values it computed need no ``from_ratio`` checks.
     """
     entries = _expansion(form, i, j)
     k = max((sum(ex) for entry in entries for ex, _ in entry), default=0)
@@ -172,8 +173,8 @@ def _compiled(form: str, i: int, j: int):
             ("alpha.re", "alpha.im", "beta.re", "beta.im", "ai", "aj"))),
         "    D = _lcm(d0, d1, d2, d3, d4, d5)",
         *(f"    x{m} = n{m} * (D // d{m})" for m in range(6)),
-        f"    return _from_ratio(({', '.join(nums)}), D ** {k})",
-    ], _ratio=_ratio, _lcm=math.lcm, _from_ratio=ExactBiQuat.from_ratio)
+        f"    return _reduced(({', '.join(nums)}), D ** {k})",
+    ], _ratio=_ratio, _lcm=math.lcm, _reduced=_reduced)
 
 
 class EntangleCase(NamedTuple):
@@ -396,7 +397,8 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
                     f"oracle={got} closed-form={want}")
 
         rng = random.Random(f"{seed}/{case.case_id}")
-        kernel = _concurrence_kernel(case.p_support, case.variant.positions)
+        kernel = _kernel(_key(case.p_support, case.variant.positions),
+                         concurrence=True)
         max_err = 0.0
         for _ in range(samples):
             while True:

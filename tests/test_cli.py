@@ -26,12 +26,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biquat import cli
-from biquat.biquaternion import BiQuat
+from biquat.biquaternion import BiQuat, from_quat, real_part
 from biquat.cli import (ParseError, format_biquat, format_complex, main,
                         parse_biquat, parse_quat)
+from biquat.entanglement import entangle
 from biquat.quaternion import DEFAULT_TOL, Quat
+from biquat.rotations import complex_rotation, lorentz_map, rotate_onesided
 
 INV_SQRT2 = math.sqrt(0.5)
+_S = repr(INV_SQRT2)
 
 
 def run_cli(argv, stdin_text=None):
@@ -255,6 +258,27 @@ def test_parse_json_errors():
         parse_biquat('{"re": [1,0,0], "im": [0,0,0]}')
     with pytest.raises(ParseError, match="must be numbers"):
         parse_biquat('{"re": [1,0,0,"x"], "im": [0,0,0,0]}')
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"re": [1, 0, 0, 0], "im": [0, 0, 0, 0], "re": [0.6, 0, 0, 0.8]}',
+     '"re"'),
+    # A repeat inside a nested object, and inside an object in an array,
+    # is refused before the top-level keys are looked at.
+    ('{"re": [0.6, 0, 0, 0.8], "im": [0, 0, 0, 0], "x": {"a": 1, "a": 2}}',
+     '"a"'),
+    ('{"re": [{"b": [{"c": 0, "c": 0}]}, 0, 0, 0], "im": [0, 0, 0, 0]}',
+     '"c"'),
+    # The key is written as a JSON string, so the error stays one line.
+    ('{"re": [1, 0, 0, 0], "im": [0, 0, 0, 0], "\\n\u00e9": 0, '
+     '"\\n\u00e9": 1}', '"\\n\\u00e9"'),
+])
+def test_json_form_refuses_a_repeated_key(text, key):
+    with pytest.raises(ParseError) as err:
+        parse_biquat(text)
+    assert str(err.value) == f"repeated JSON key {key}"
+    assert run_cli(["concurrence", text]) == (
+        1, "", f"biquat: parse error: repeated JSON key {key}\n")
 
 
 @pytest.mark.parametrize("entry", ["true", "false", "null", '"0.6"',
@@ -507,6 +531,44 @@ def test_entangle_command_json():
     assert d["concurrence_after"] == pytest.approx(1.0, abs=1e-9)
     assert d["report"]["passed"] is True
     assert d["result"]["im"][1] == pytest.approx(-INV_SQRT2, abs=1e-9)
+
+
+def _library_result(argv) -> BiQuat:
+    """What the entangle or rotate command of argv computes, through the
+    library."""
+    if argv[0] == "entangle":
+        return entangle(parse_quat(argv[2]), parse_biquat(argv[4])).result
+    kind, q, x = argv[2], parse_biquat(argv[4]), parse_biquat(argv[6])
+    if kind == "left":
+        return from_quat(rotate_onesided(real_part(q), real_part(x), kind))
+    return {"lorentz": lorentz_map, "mu": complex_rotation}[kind](q, x)
+
+
+@pytest.mark.parametrize("argv", [
+    ["entangle", "--p", f"-{_S}, 0, -{_S}, 0", "--q", f"-{_S}i, -{_S}, 0, 0"],
+    ["entangle", "--p", "-0.6, 0, 0.8, 0", "--q", "0.6, 0.8i, 0, 0"],
+    ["entangle", "--p", "0, 0, 0.9353335680486682, -0.35376703701920487",
+     "--q", "-0.0733+5e-324i, 0, -0.312245512887238+0.9471693880620222i, 0"],
+    ["rotate", "--map", "left", "--q", "-1, 0, 0, 0",
+     "--x", "0, 5e-324, 0, 2"],
+    ["rotate", "--map", "lorentz", "--q", "-1, 0, 0, 0",
+     "--x", "-0-0i, 5e-324i, -0, 1e-310i"],
+    ["rotate", "--map", "mu", "--q", "-1, 0, 0, 0",
+     "--x", "-0-0i, 5e-324i, -0, 1e-310i"],
+], ids=["entangle-neg-zero", "entangle-float-amps", "entangle-subnormal",
+        "rotate-left", "rotate-lorentz", "rotate-mu"])
+def test_report_result_parses_back_bit_for_bit(argv):
+    # Each result holds a negative zero or a subnormal, which the report's
+    # JSON form must carry through parse_biquat.
+    code, out, err = run_cli(["--json", *argv])
+    assert (code, err) == (0, "")
+    back = parse_biquat(json.dumps(json.loads(out)["result"]))
+    want = _library_result(argv)
+    parts = [x for c in want for x in (c.real, c.imag)]
+    assert any(math.copysign(1.0, x) < 0.0 if x == 0.0
+               else abs(x) < sys.float_info.min for x in parts)
+    assert ([x.hex() for c in back for x in (c.real, c.imag)]
+            == [x.hex() for x in parts])
 
 
 def test_entangle_command_rejection():
@@ -973,7 +1035,6 @@ def test_main_calls_the_handler_bound_now(monkeypatch):
     assert run_cli(["--js", "polar", "1,0,0,0"]) == (3, "", "")
 
 
-_S = repr(INV_SQRT2)
 _QUATS = (
     "1,0,0,0", "0,1,0,0", f"{_S}, 0, {_S}, 0", f"{_S}i, -{_S}i, 0, 0",
     f"{_S}, 0, 0, {_S}i", "0.5+0.5i, -0.5i, 0, 1", "1i,0,0,0", "0,0,0,0",

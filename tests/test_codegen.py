@@ -24,7 +24,8 @@ from biquat.quaternion import Quat
 from biquat.verify import ENTANGLE_CASES
 
 
-_SWEEP_SUPPORTS = ((1, 3), (1, 2))
+# The sweep's kernel key: rotors on {1,3}, states on {1,2}.
+_SWEEP_KEY = entanglement._key((1, 3), (1, 2))
 # The kernel keys of the eight pairings the law covers, pm << 4 | qm.
 _LAW_MASKS = [masks for masks, verdict in enumerate(entanglement._VERDICT)
               if verdict == entanglement._LAW]
@@ -35,8 +36,8 @@ def _generated():
     sweep's concurrence kernel and entangle's 8 law kernels too."""
     return [exact.oracle_mul, *exact._CONJUGATIONS.values(),
             entanglement._sandwich,
-            entanglement._concurrence_kernel(*_SWEEP_SUPPORTS),
-            *map(entanglement._law_kernel, _LAW_MASKS),
+            entanglement._kernel(_SWEEP_KEY, concurrence=True),
+            *map(entanglement._kernel, _LAW_MASKS),
             *(verify._compiled(case.closed_form, *case.p_support)
               for case in ENTANGLE_CASES)]
 
@@ -66,10 +67,10 @@ def test_source_of_each_generated_function_is_its_generated_text(
     monkeypatch.setattr(_codegen, "function", record)
     exact._generate_product(STRUCTURE)
     exact._generate_conjugations(exact._CONJ_FLIPS)
-    entanglement._generate_sandwich()
-    entanglement._concurrence_kernel.__wrapped__(*_SWEEP_SUPPORTS)
+    entanglement._kernel.__wrapped__(0xFF)
+    entanglement._kernel.__wrapped__(_SWEEP_KEY, concurrence=True)
     for masks in _LAW_MASKS:
-        entanglement._law_kernel.__wrapped__(masks)
+        entanglement._kernel.__wrapped__(masks)
     for case in ENTANGLE_CASES:
         verify._compiled.__wrapped__(case.closed_form, *case.p_support)
     shown = {}
@@ -125,7 +126,7 @@ def _sandwich(p, q):
 
 
 def test_sweep_kernel_reads_only_the_parts_on_its_supports():
-    kernel = entanglement._concurrence_kernel(*_SWEEP_SUPPORTS)
+    kernel = entanglement._kernel(_SWEEP_KEY, concurrence=True)
     source = inspect.getsource(kernel)
     names = {node.id for node in ast.walk(ast.parse(source))
              if type(node) is ast.Name}
@@ -146,21 +147,21 @@ def test_law_kernels_keep_12_of_the_32_products():
         mask(case.p_support) << 4 | mask(case.variant.positions)
         for case in ENTANGLE_CASES)
     for masks in _LAW_MASKS:
-        assert products(entanglement._law_kernel(masks)) == 12
+        assert products(entanglement._kernel(masks)) == 12
 
 
 def test_importing_the_cli_compiles_no_kernel_and_loads_no_csv():
     code = ("import json, sys, biquat.cli\n"
             "from biquat import _codegen, entanglement\n"
             "print(json.dumps([sorted(_codegen._SOURCES),\n"
-            "    entanglement._concurrence_kernel.cache_info().currsize\n"
-            "    + entanglement._law_kernel.cache_info().currsize,\n"
+            "    entanglement._kernel.cache_info().currsize,\n"
             "    'csv' in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(exact.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-S", "-"], input=code, env=env,
                          capture_output=True, text=True, check=True)
     sources, kernels, csv_loaded = json.loads(out.stdout)
-    assert kernels == 0 and csv_loaded is False
+    # The one kernel in the cache is _sandwich, compiled at import.
+    assert kernels == 1 and csv_loaded is False
     assert [name.split("#")[0] for name in sources
             if "entanglement" in name] == ["<biquat.entanglement._sandwich"]
 
@@ -192,7 +193,7 @@ def test_closed_form_source_is_one_sum_of_monomials_per_numerator(
     # 1 or -1 is written as a sign alone.
     source = inspect.getsource(verify._compiled(form, *support))
     assert source.splitlines()[-1] == (
-        f"    return _from_ratio(({numerators}), D ** {k})")
+        f"    return _reduced(({numerators}), D ** {k})")
 
 
 @pytest.mark.parametrize("f, args, error", [

@@ -617,7 +617,8 @@ def _full_kernel(p, q):
 @given(_KERNEL_REALS, _KERNEL_REALS, _KERNEL_PARTS, _KERNEL_PARTS)
 def test_sweep_kernel_is_bit_identical_to_the_full_sandwich(a, b, alpha,
                                                             beta):
-    kernel = entanglement._concurrence_kernel((1, 3), Variant.V12.positions)
+    kernel = entanglement._kernel(
+        entanglement._key((1, 3), Variant.V12.positions), concurrence=True)
     p, q = Quat(a, 0.0, b, 0.0), BiQuat(alpha, beta, 0j, 0j)
     assert (_kernel_outcome(kernel, p, q)
             == _kernel_outcome(_full_kernel, p, q))
@@ -625,7 +626,8 @@ def test_sweep_kernel_is_bit_identical_to_the_full_sandwich(a, b, alpha,
 
 @pytest.mark.parametrize("variant, sup", CASES)
 def test_concurrence_kernel_matches_the_sandwich_in_each_case(variant, sup):
-    kernel = entanglement._concurrence_kernel(sup, variant.positions)
+    kernel = entanglement._kernel(entanglement._key(sup, variant.positions),
+                                  concurrence=True)
     rng = random.Random(79)
     for _ in range(200):
         t, u, v, w = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
@@ -654,7 +656,8 @@ def _unguarded(masks):
     lines, pqp = entanglement._trace(entanglement._SUPPORTS[masks >> 4],
                                      entanglement._SUPPORTS[masks & 15])
     return _codegen.function(__name__, "_unguarded", [
-        "def _unguarded(p, q):", *lines,
+        "def _unguarded(p, q):", "    p1, p2, p3, p4 = p",
+        "    q1, q2, q3, q4 = q", *lines,
         f"    return ({', '.join(pqp)},)"])
 
 
@@ -707,7 +710,7 @@ def test_entangle_is_bit_identical_to_the_full_sandwich(pq):
 
 @pytest.mark.parametrize("variant, sup", CASES)
 def test_law_kernel_runs_on_amplitudes_with_every_part_nonzero(variant, sup):
-    kernel = entanglement._law_kernel(_law_masks(variant, sup))
+    kernel = entanglement._kernel(_law_masks(variant, sup))
     rng = random.Random(83)
     for _ in range(200):
         t, u, v, w = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(4))
@@ -747,7 +750,7 @@ def test_law_kernel_declines_what_it_would_get_wrong(variant, sup, p, q,
     masks = _law_masks(variant, sup)
     assert entanglement._gate(p, q)[1:] == (masks >> 4, masks & 15,
                                             entanglement._LAW)
-    assert entanglement._law_kernel(masks)(p, q) is None
+    assert entanglement._kernel(masks)(p, q) is None
     want = _bits(_sandwich(p, q))
     assert _bits(entangle(p, q).result) == want
     assert (_bits(_unguarded(masks)(p, q)) != want) is unguarded_differs
