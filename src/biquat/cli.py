@@ -91,10 +91,13 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-# What json.loads(text, parse_constant=..., object_pairs_hook=...) builds
-# on every call, built once.  (json.loads also refuses a leading BOM, but
-# such text never reaches the JSON form: it does not start with "{".)
-_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant,
+# What json.loads(text, parse_int=float, ...) builds on every call, built
+# once.  float reads an integer as in the comma form, -0 as -0.0 and any
+# number of digits (int refuses over sys.get_int_max_str_digits()).
+# (json.loads also refuses a leading BOM, but such text never reaches the
+# JSON form: it does not start with "{".)
+_JSON_DECODER = json.JSONDecoder(parse_int=float,
+                                 parse_constant=_reject_constant,
                                  object_pairs_hook=_unique_keys)
 
 
@@ -103,19 +106,18 @@ def _parse_json_biquat(text: str) -> BiQuat:
         obj = _JSON_DECODER.decode(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", e.pos) from None
+    except RecursionError:  # the decoder recurses once per nested level
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ParseError('JSON form needs exactly the keys "re" and "im"')
     re_, im = obj["re"], obj["im"]
     if (not isinstance(re_, list) or not isinstance(im, list)
             or len(re_) != 4 or len(im) != 4):
         raise ParseError('"re" and "im" must be arrays of 4 numbers')
-    # Only JSON numbers: type() leaves out bool, a subclass of int.
-    if not {*map(type, re_), *map(type, im)} <= {int, float}:
+    # Every JSON number is a float, so type() refuses bool, str and the rest.
+    if not {*map(type, re_), *map(type, im)} <= {float}:
         raise ParseError('"re" and "im" entries must be numbers')
-    try:
-        q = _new(BiQuat, map(complex, map(float, re_), map(float, im)))
-    except OverflowError:
-        raise ParseError("non-finite number") from None
+    q = _new(BiQuat, map(complex, re_, im))
     if not all(map(cmath.isfinite, q)):
         raise ParseError("non-finite number")
     return q
@@ -213,7 +215,8 @@ def _literal(c: complex) -> str:
 
 
 def format_biquat(q: BiQuat, style: str = "plain") -> str:
-    """Render a biquaternion; the plain style parses back bit-exactly.
+    """Render a biquaternion; the plain style parses back bit-exactly but
+    for a zero's sign: ``-0.0`` prints as ``0`` and comes back as ``0.0``.
     ValueError for a non-finite part, which no style could parse back."""
     for k, c in enumerate(q, 1):
         if not cmath.isfinite(c):
@@ -351,7 +354,7 @@ def _cmd_concurrence(ns) -> int:
     elif sys.stdin is None:  # fd 0 was closed when Python started
         raise ValueError("standard input is closed")
     else:
-        text = sys.stdin.readline()
+        text = sys.stdin.read()
     c = concurrence(parse_biquat(text))
     if ns.json:
         print(json.dumps({"concurrence": c}))
@@ -446,7 +449,8 @@ def _cmd_sweep(ns) -> int:
     mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
     phase = [2.0 * math.pi * k / n for k in range(n)]
     # Rotors on {1,3} and V12 states are unit by construction: each row
-    # runs the kernel _concurrence(_sandwich(p, q)) traced for them.
+    # runs the kernel _concurrence(bmul(bmul(p, q), p)) traced for them,
+    # which gives its bits (see entanglement._kernel).
     kernel = _kernel(_key((1, 3), Variant.V12.positions), concurrence=True)
     rotors = [(Quat(ai, 0.0, aj, 0.0), f"{ai!r},{aj!r},")
               for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]

@@ -286,23 +286,22 @@ def _kernel(masks: int, concurrence: bool = False):
     ``pm << 4 | qm`` as for ``_VERDICT``, compiled from ``_trace`` on
     first use: it returns the product or, with ``concurrence``, the
     ``_concurrence`` of it, traced after it.  A kernel unpacks only the
-    parts it reads.  Full masks drop nothing, and their product, compiled
-    at import, is ``_sandwich``.
-
-    A product that drops a part serves a pair the gate admits under the
-    law: it keeps 12 of the 32 products.  It returns None, for the caller
-    to run ``_sandwich``, unless two guards hold:
+    parts it reads.  A product kernel serves a ``_LAW`` key, a pair the
+    gate admits under the law: it keeps 12 of the 32 products.  It
+    returns None, for the caller to run ``bmul(bmul(p, q), p)``, unless
+    two guards hold:
 
     * every part off the masks is exactly zero (a part of at most
       DEFAULT_TOL is off the mask, yet not zero);
     * every real and imaginary part of q on its mask is at least 2**-1000
       in magnitude (so a float amplitude, whose imaginary part is 0, runs
-      ``_sandwich``).
+      the composition).
 
-    Each kernel gives the bits of the full composition, as every dropped
-    term is an exact zero, a finite value times ``0.0`` or ``0j``, and
-    adding or subtracting a zero leaves a nonzero float unchanged.  So
-    every intermediate value equals the full kernel's up to the sign of a
+    Each kernel gives the bits of ``bmul(bmul(p, q), p)``, whose terms
+    it keeps in order (``_trace``), as every dropped term is an exact
+    zero, a finite value times ``0.0`` or ``0j``, and adding or
+    subtracting a zero leaves a nonzero float unchanged.  So every
+    intermediate value equals the composition's up to the sign of a
     zero, and two cases settle that sign:
 
     * a concurrence: ``abs`` erases it, whenever no product of a part of
@@ -326,11 +325,8 @@ def _kernel(masks: int, concurrence: bool = False):
         name, doc = "_pqp_concurrence", f"C of p q p for {on}."
         c, tail = _bind("c", pqp)
         tail.append(f"    return {_concurrence(c)}")
-    elif masks == 0xFF:
-        name, doc = "_sandwich", ("p q p for a real rotor p, bit for bit "
-                                  "bmul(bmul(p, q), p).")
     else:  # the guard reads every part, so the unpack names them all
-        name, doc = "_law_sandwich", f"p q p for {on}, or None."
+        name, doc = "_law_pqp", f"p q p for {on}, or None."
         read = (15, 15)
         off = " or ".join(f"{x}{k + 1}" for x, mask in zip("pq", (pm, qm))
                           for k in range(4) if not mask >> k & 1)
@@ -345,9 +341,6 @@ def _kernel(masks: int, concurrence: bool = False):
         f"def {name}(p, q):", f'    """{doc}"""', *unpack, *guard, *lines,
         *tail,
     ], BiQuat=BiQuat, _new=_new)
-
-
-_sandwich = _kernel(0xFF)
 
 
 def concurrence(q: BiQuat) -> float:
@@ -453,7 +446,7 @@ def entangle_map(p: Quat, q: BiQuat) -> BiQuat:
     as given and R1-R3 are left to ``entangle``.
     """
     require_unit_norm(norm(p), "rotor must be a unit quaternion")
-    return _sandwich(p, q)
+    return bmul(bmul(p, q), p)
 
 
 def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
@@ -467,11 +460,11 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     report notes the degeneracy since no entanglement can result.
 
     A state the law covers goes to the product kernel of its mask pair
-    (``_kernel``), which runs 12 of the sandwich's 32 products when
-    every part off the masks is exactly zero and every real and imaginary
-    part of q on its mask is at least 2**-1000 in magnitude; otherwise,
-    and for every other state, ``_sandwich`` runs.  Either way the result
-    is ``_sandwich``'s bit for bit: the dropped products are zeros, which
+    (``_kernel``), which runs 12 of the 32 products when every part off
+    the masks is exactly zero and every real and imaginary part of q on
+    its mask is at least 2**-1000 in magnitude; otherwise, and for every
+    other state, ``bmul(bmul(p, q), p)`` runs.  Either way the result is
+    the composition's bit for bit: the dropped products are zeros, which
     leave a nonzero sum unchanged, and the guards keep every kept product
     nonzero and a cancelled sum +0 in both.
     """
@@ -484,7 +477,7 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     q1, q2, q3, q4 = q
     result = _kernel(pm << 4 | qm)(p, q) if verdict == _LAW else None
     if result is None:
-        result = _sandwich(p, q)
+        result = bmul(bmul(p, q), p)
     r1, r2, r3, r4 = result
     return _new(EntangleOutcome, (result, 2.0 * abs(q1 * q4 - q2 * q3),
                                   2.0 * abs(r1 * r4 - r2 * r3), report))

@@ -13,8 +13,9 @@ Two independent routes are compared for each of the eight admissible
 (b) a floating-point check of the concurrence law C = 4|alpha beta
     a_i a_j| at seeded random normalized points, run through the primary
     (float) implementation: the concurrence kernel traced from ``bmul``
-    for the case's supports, bit for bit ``_concurrence(_sandwich(p, q))``
-    on unit inputs.
+    for the case's supports, bit for bit
+    ``_concurrence(bmul(bmul(p, q), p))`` on unit inputs, since every
+    term it drops is a zero whose sign ``abs`` erases.
 
 The tabulated reference forms carry two known misprints, kept as data
 rather than silently fixed: case 2 lists five entries with a repeated

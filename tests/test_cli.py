@@ -307,6 +307,50 @@ def test_non_finite_input_is_a_parse_error(argv):
     assert "parse error: non-finite number" in err
 
 
+# An integer past int()'s digit limit (4300 by default) is refused as
+# the same digits are in the comma form: both are past the float range.
+_LONG_INT = "1" * 5000
+
+
+def test_a_json_integer_reads_as_the_comma_form_reads_it():
+    for digits in ("-0", "0", "7", "-12", "9007199254740993", "1" * 300):
+        json_form = parse_biquat(
+            '{"re": [%s, 1, 0, 0], "im": [0, 0, 0, %s]}' % (digits, digits))
+        comma = parse_biquat(f"{digits}, 1, 0, {digits}i")
+        assert [(c.real.hex(), c.imag.hex()) for c in json_form] == [
+            (c.real.hex(), c.imag.hex()) for c in comma]
+
+
+@pytest.mark.parametrize("text", [
+    '{"re": [%s, 0, 0, 0], "im": [0, 0, 0, 0]}' % _LONG_INT,
+    '{"re": [0, 0, 0, 0], "im": [0, 0, 0, -%s]}' % _LONG_INT,
+    "%s, 0, 0, 0" % _LONG_INT,
+], ids=["json-re", "json-im", "comma"])
+def test_an_integer_past_the_digit_limit_is_non_finite(text):
+    with pytest.raises(ParseError, match="^non-finite number"):
+        parse_biquat(text)
+    code, out, err = run_cli(["concurrence", text])
+    assert (code, out) == (1, "")
+    assert err.startswith("biquat: parse error: non-finite number")
+
+
+_DEEP = '{"re": ' + "[" * 50000 + "]" * 50000 + ', "im": [0, 0, 0, 0]}'
+_DEEP_ERROR = "biquat: parse error: invalid JSON: nested too deeply\n"
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="^invalid JSON: nested too deeply$"):
+        parse_biquat(_DEEP)
+    assert run_cli(["concurrence", "-"], stdin_text=_DEEP) == (
+        1, "", _DEEP_ERROR)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "biquat", "concurrence", "-"], input=_DEEP,
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", _DEEP_ERROR)
+
+
 def test_parse_quat_rejects_imaginary():
     assert parse_quat("1,0,-2,0") == Quat(1, 0, -2, 0)
     with pytest.raises(ParseError, match="expected a real quaternion"):
@@ -643,6 +687,19 @@ def test_concurrence_from_stdin():
     assert json.loads(out) == {"concurrence": 0.0}
 
 
+@pytest.mark.parametrize("text", [
+    # The layout of a --json report's result, and the comma form followed
+    # by its newline.
+    json.dumps({"re": [INV_SQRT2, 0.0, 0.0, 0.0],
+                "im": [0.0, 0.0, 0.0, INV_SQRT2]}, indent=2) + "\n",
+    f"{_S}, 0, 0, {_S}i\n",
+], ids=["indented-json", "comma"])
+def test_concurrence_reads_all_of_standard_input(text):
+    want = run_cli(["concurrence", f"{_S}, 0, 0, {_S}i"])
+    assert want[0] == 0
+    assert run_cli(["concurrence", "-"], stdin_text=text) == want
+
+
 def test_check_command_exit_codes():
     code, out, _ = run_cli(["check", "--p", "0,1,0,0", "--q", "1,0,0,0"])
     assert code == 2
@@ -833,9 +890,10 @@ def test_sweep_deterministic_and_file_output(tmp_path):
 
 def _reference_sweep(n):
     """(CSV text, maximal rows) of an N^4 sweep as csv.writer wrote it,
-    each concurrence through the full sandwich."""
+    each concurrence through the full sandwich, bmul(bmul(p, q), p)."""
+    from biquat.biquaternion import bmul
     from biquat.entanglement import (StateAmp, Variant, _concurrence,
-                                     _sandwich, embed_state)
+                                     embed_state)
     half_pi = math.pi / 2.0
     mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
     phase = [2.0 * math.pi * k / n for k in range(n)]
@@ -851,7 +909,8 @@ def _reference_sweep(n):
                 beta = math.sin(tq) * complex(math.cos(pb), math.sin(pb))
                 q = embed_state(StateAmp(alpha, beta, Variant.V12))
                 for ai, aj in rotors:
-                    c = _concurrence(_sandwich(Quat(ai, 0.0, aj, 0.0), q))
+                    p = Quat(ai, 0.0, aj, 0.0)
+                    c = _concurrence(bmul(bmul(p, q), p))
                     is_max = c >= 1.0 - DEFAULT_TOL
                     maximal += is_max
                     writer.writerow([format_complex(alpha),

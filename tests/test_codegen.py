@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,6 @@ def _generated():
     """Every function the package generates, the 8 closed forms, the
     sweep's concurrence kernel and entangle's 8 law kernels too."""
     return [exact.oracle_mul, *exact._CONJUGATIONS.values(),
-            entanglement._sandwich,
             entanglement._kernel(_SWEEP_KEY, concurrence=True),
             *map(entanglement._kernel, _LAW_MASKS),
             *(verify._compiled(case.closed_form, *case.p_support)
@@ -67,7 +67,6 @@ def test_source_of_each_generated_function_is_its_generated_text(
     monkeypatch.setattr(_codegen, "function", record)
     exact._generate_product(STRUCTURE)
     exact._generate_conjugations(exact._CONJ_FLIPS)
-    entanglement._kernel.__wrapped__(0xFF)
     entanglement._kernel.__wrapped__(_SWEEP_KEY, concurrence=True)
     for masks in _LAW_MASKS:
         entanglement._kernel.__wrapped__(masks)
@@ -80,14 +79,14 @@ def test_source_of_each_generated_function_is_its_generated_text(
         code = compile(source, f.__code__.co_filename, "exec")
         assert f.__code__ in code.co_consts
     assert shown == texts
-    assert len(texts) == 8 and len(texts["biquat.verify", "closed_form"]) == 8
-    assert len(texts["biquat.entanglement", "_law_sandwich"]) == 8
+    assert len(texts) == 7 and len(texts["biquat.verify", "closed_form"]) == 8
+    assert len(texts["biquat.entanglement", "_law_pqp"]) == 8
 
 
 def test_each_generated_function_has_its_own_file_name():
     functions = _generated()
     names = [f.__code__.co_filename for f in functions]
-    assert len(set(names)) == len(names) == 22
+    assert len(set(names)) == len(names) == 21
     for f, name in zip(functions, names):
         assert re.fullmatch(rf"<{re.escape(f.__module__)}\.{f.__name__}#\d+>",
                             name), name
@@ -98,31 +97,9 @@ def test_generated_functions_keep_their_module_and_name():
         ("biquat.exact", "oracle_mul"), ("biquat.exact", "conj_complex"),
         ("biquat.exact", "conj_quaternion"),
         ("biquat.exact", "conj_hermitian"),
-        ("biquat.entanglement", "_sandwich"),
         ("biquat.entanglement", "_pqp_concurrence"),
-        *[("biquat.entanglement", "_law_sandwich")] * 8,
+        *[("biquat.entanglement", "_law_pqp")] * 8,
         *[("biquat.verify", "closed_form")] * 8]
-
-
-def test_sandwich_source_is_unchanged_by_the_zero_aware_trace():
-    # Full supports drop no term: the text is the one the trace gave
-    # before it knew of a zero part.
-    assert inspect.getsource(entanglement._sandwich) == """\
-def _sandwich(p, q):
-    \"\"\"p q p for a real rotor p, bit for bit bmul(bmul(p, q), p).\"\"\"
-    p1, p2, p3, p4 = p
-    q1, q2, q3, q4 = q
-    r1 = ((((q1*p1)-(q2*p2))-(q3*p3))-(q4*p4))
-    r2 = ((((q2*p1)+(q1*p2))+(q4*p3))-(q3*p4))
-    r3 = ((((q3*p1)-(q4*p2))+(q1*p3))+(q2*p4))
-    r4 = ((((q4*p1)+(q3*p2))-(q2*p3))+(q1*p4))
-    return _new(BiQuat, (
-        ((((r1*p1)-(r2*p2))-(r3*p3))-(r4*p4)),
-        ((((r1*p2)+(r2*p1))+(r3*p4))-(r4*p3)),
-        ((((r1*p3)-(r2*p4))+(r3*p1))+(r4*p2)),
-        ((((r1*p4)+(r2*p3))-(r3*p2))+(r4*p1)),
-    ))
-"""
 
 
 def test_sweep_kernel_reads_only_the_parts_on_its_supports():
@@ -142,7 +119,9 @@ def test_law_kernels_keep_12_of_the_32_products():
                    for node in ast.walk(ast.parse(inspect.getsource(f))))
     def mask(support):
         return sum(1 << (k - 1) for k in support)
-    assert products(entanglement._sandwich) == 32
+    # The trace of bmul(bmul(p, q), p) on full supports drops nothing.
+    lines, pqp = entanglement._trace((1, 2, 3, 4), (1, 2, 3, 4))
+    assert sum(text.count("*") for text in [*lines, *pqp]) == 32
     assert _LAW_MASKS == sorted(
         mask(case.p_support) << 4 | mask(case.variant.positions)
         for case in ENTANGLE_CASES)
@@ -160,10 +139,20 @@ def test_importing_the_cli_compiles_no_kernel_and_loads_no_csv():
     out = subprocess.run([sys.executable, "-S", "-"], input=code, env=env,
                          capture_output=True, text=True, check=True)
     sources, kernels, csv_loaded = json.loads(out.stdout)
-    # The one kernel in the cache is _sandwich, compiled at import.
-    assert kernels == 1 and csv_loaded is False
-    assert [name.split("#")[0] for name in sources
-            if "entanglement" in name] == ["<biquat.entanglement._sandwich"]
+    assert (sources, kernels, csv_loaded) == ([], 0, False)
+
+
+def test_every_kernel_compiles_with_warnings_as_errors():
+    # Kernels compile on first use, so no import compiles them: each one
+    # _kernel serves, the product and the concurrence kernel of each of
+    # the eight pairings the law covers, compiles afresh here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels = [entanglement._kernel.__wrapped__(masks, concurrence)
+                   for masks in _LAW_MASKS for concurrence in (False, True)]
+    assert len(_LAW_MASKS) == 8
+    assert [f.__name__ for f in kernels] == [
+        "_law_pqp", "_pqp_concurrence"] * 8
 
 
 @pytest.mark.parametrize("form, support", [
@@ -198,8 +187,8 @@ def test_closed_form_source_is_one_sum_of_monomials_per_numerator(
 
 @pytest.mark.parametrize("f, args, error", [
     (exact.oracle_mul, (ExactBiQuat((1,) * 8), None), AttributeError),
-    (entanglement._sandwich, (Quat(1.0, 0.0, 0.0, 0.0), (None, 0j, 0j, 0j)),
-     TypeError),
+    (entanglement._kernel(_SWEEP_KEY, concurrence=True),
+     (Quat(1.0, 0.0, 0.0, 0.0), (None, 0j, 0j, 0j)), TypeError),
 ])
 def test_a_fault_in_generated_code_shows_its_source_line(f, args, error):
     with pytest.raises(error) as info:

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biquat import _codegen, biquaternion, entanglement, quaternion
+from biquat import _codegen, entanglement, quaternion
 from biquat.biquaternion import BiQuat, bmul, from_quat, norm_h
 from biquat.entanglement import (ADMISSIBLE_P_SUPPORTS, EntangleOutcome,
                                  RestrictionError, RestrictionReport,
-                                 StateAmp, Variant, _sandwich,
-                                 check_restrictions, concurrence,
+                                 StateAmp, Variant, check_restrictions, concurrence,
                                  embed_state, entangle, entangle_map,
                                  predicted_concurrence, support)
 from biquat.quaternion import DEFAULT_TOL, Quat, norm, require_unit_norm
@@ -31,6 +30,11 @@ CASES = (
     (Variant.V13, (1, 2)), (Variant.V13, (3, 4)),
     (Variant.V24, (1, 2)), (Variant.V24, (3, 4)),
 )
+
+
+def _pqp(p, q) -> BiQuat:
+    """The map q -> p q p as the paper composes it."""
+    return bmul(bmul(p, q), p)
 
 
 def _rotor(sup, ai, aj) -> Quat:
@@ -237,9 +241,10 @@ def test_gate_equals_the_frozenset_reference_on_every_mask():
                        "zero, concurrence stays 0")
         else:
             assert outcome.report == report
-        result = _sandwich(p, q)
+        result = _pqp(p, q)
         assert outcome == (result, concurrence(q), 2.0 * abs(
             result.c1 * result.c4 - result.c2 * result.c3), outcome.report)
+        assert _bits(outcome.result) == _bits(result)
     # The sweep reaches acceptance, the degenerate note, each failing
     # restriction and each kind of state the gate admits.
     assert verdicts == {(True, True, True), (True, True, False),
@@ -273,7 +278,7 @@ def _composed(p: Quat, q: BiQuat) -> list:
         rejected = ("RestrictionError", f"rotor rejected: {want.detail}",
                     repr(want))
         return [("returned", repr(want)), rejected, rejected]
-    result = _sandwich(p, q)
+    result = _pqp(p, q)
     report = want
     if len(want.q_support) < 2:
         report = want._replace(detail="degenerate amplitudes: a state "
@@ -476,7 +481,7 @@ def test_report_and_outcome_to_dict():
         BiQuat(_README_S * 1j, -_README_S * 1j, 0, 0))
 
 
-# --- the sandwich takes the real rotor as it is ------------------------------
+# --- the float rotor against the embedded rotor ----------------------------
 
 _EDGE_REALS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                math.nextafter(DEFAULT_TOL, 1.0), 1.0, -0.5)
@@ -497,7 +502,7 @@ def test_sandwich_is_bit_identical_to_the_embedded_rotor():
         p = Quat(*(part() for _ in range(4)))
         q = BiQuat(*(complex(part(), part()) for _ in range(4)))
         pb = from_quat(p)
-        assert repr(_sandwich(p, q)) == repr(bmul(bmul(pb, q), pb))
+        assert repr(_pqp(p, q)) == repr(bmul(bmul(pb, q), pb))
     for variant, sup in CASES:
         for _ in range(20):
             t = rng.uniform(0.0, 2.0 * math.pi)
@@ -505,34 +510,10 @@ def test_sandwich_is_bit_identical_to_the_embedded_rotor():
             q = embed_state(StateAmp(I_SQRT2 * cmath.exp(1j * t),
                                      -INV_SQRT2, variant))
             pb = from_quat(p)
-            assert repr(_sandwich(p, q)) == repr(bmul(bmul(pb, q), pb))
+            assert repr(_pqp(p, q)) == repr(bmul(bmul(pb, q), pb))
 
 
 _SPECIAL_REALS = (math.inf, -math.inf, math.nan, 1e308, -1e308)
-
-
-def test_sandwich_is_bit_identical_to_two_bmuls_with_the_float_rotor():
-    # The float rotor goes into both bmuls as it is, so this holds on
-    # every Python version, 3.14's part-by-part float * complex included.
-    rng = random.Random(76)
-    edges = _EDGE_REALS + _SPECIAL_REALS
-
-    def part():
-        if rng.random() < 0.4:
-            return rng.choice(edges)
-        return rng.uniform(-1.0, 1.0)
-
-    for _ in range(3000):
-        p = Quat(*(part() for _ in range(4)))
-        q = BiQuat(*(complex(part(), part()) for _ in range(4)))
-        assert repr(_sandwich(p, q)) == repr(bmul(bmul(p, q), p))
-    for variant, sup in CASES:
-        for _ in range(20):
-            t = rng.uniform(0.0, 2.0 * math.pi)
-            p = _rotor(sup, math.cos(t), math.sin(t))
-            q = embed_state(StateAmp(I_SQRT2 * cmath.exp(1j * t),
-                                     -INV_SQRT2, variant))
-            assert repr(_sandwich(p, q)) == repr(bmul(bmul(p, q), p))
 
 
 def _hamilton_by_attributes(cls, p, q):
@@ -573,22 +554,7 @@ def test_hamilton_is_bit_identical_to_the_attribute_expansion():
                 assert got == cls(*got)
 
 
-def test_sandwich_is_compiled_once_at_import(monkeypatch):
-    p = Quat(INV_SQRT2, 0, INV_SQRT2, 0)
-    q = BiQuat(I_SQRT2, -I_SQRT2, 0, 0)
-    want = entangle(p, q), entangle_map(p, q)
-
-    def refuse(*args):
-        raise AssertionError("the sandwich multiplied through a call")
-
-    for module, name in ((quaternion, "hamilton"), (biquaternion, "hamilton"),
-                         (biquaternion, "bmul"), (entanglement, "bmul")):
-        monkeypatch.setattr(module, name, refuse)
-    assert (entangle(p, q), entangle_map(p, q)) == want
-    assert _sandwich.__module__ == "biquat.entanglement"
-
-
-# The sweep's kernel, _concurrence(_sandwich(p, q)) traced for rotors on
+# The sweep's kernel, _concurrence(bmul(bmul(p, q), p)) traced for rotors on
 # {1,3} and V12 states.  Parts stay within 1e150 in magnitude, so no
 # product of a part of q with a part of p overflows: the condition under
 # which its docstring proves it bit for bit equal to the composition.
@@ -610,7 +576,7 @@ def _kernel_outcome(f, p, q):
 
 
 def _full_kernel(p, q):
-    return entanglement._concurrence(_sandwich(p, q))
+    return entanglement._concurrence(_pqp(p, q))
 
 
 @settings(max_examples=500)
@@ -705,7 +671,7 @@ def _law_inputs(draw):
 def test_entangle_is_bit_identical_to_the_full_sandwich(pq):
     p, q = pq
     assert entanglement._gate(p, q)[3] == entanglement._LAW
-    assert _bits(entangle(p, q).result) == _bits(_sandwich(p, q))
+    assert _bits(entangle(p, q).result) == _bits(_pqp(p, q))
 
 
 @pytest.mark.parametrize("variant, sup", CASES)
@@ -719,7 +685,7 @@ def test_law_kernel_runs_on_amplitudes_with_every_part_nonzero(variant, sup):
                                  math.sin(u) * cmath.exp(1j * w), variant))
         result = kernel(p, q)
         assert result is not None
-        assert _bits(result) == _bits(_sandwich(p, q))
+        assert _bits(result) == _bits(_pqp(p, q))
         assert _bits(entangle(p, q).result) == _bits(result)
 
 
@@ -751,9 +717,25 @@ def test_law_kernel_declines_what_it_would_get_wrong(variant, sup, p, q,
     assert entanglement._gate(p, q)[1:] == (masks >> 4, masks & 15,
                                             entanglement._LAW)
     assert entanglement._kernel(masks)(p, q) is None
-    want = _bits(_sandwich(p, q))
+    want = _bits(_pqp(p, q))
     assert _bits(entangle(p, q).result) == want
     assert (_bits(_unguarded(masks)(p, q)) != want) is unguarded_differs
+
+
+@pytest.mark.parametrize("p, q, verdict", [
+    (Quat(0.6, 0.0, -0.8, 0.0),
+     BiQuat(complex(-0.0, 1.0), -0j, complex(0.0, -0.0), 0j),
+     entanglement._DEGENERATE),
+    (Quat(-0.6, 0.8, -0.0, 0.0), BiQuat(0.6 + 0j, -0j, 0j, -0.8j),
+     entanglement._UNCOVERED),
+    (Quat(0.0, 0.6, 0.0, -0.8), BiQuat(0.6, 0.48j, -0.64, 0.0),
+     entanglement._UNCOVERED),
+], ids=["degenerate", "uncovered-14", "uncovered-123-float"])
+def test_entangle_off_the_law_is_bit_identical_to_the_composition(p, q,
+                                                                   verdict):
+    assert entanglement._gate(p, q)[3] == verdict
+    assert _bits(entangle(p, q).result) == _bits(_pqp(p, q))
+    assert _bits(entangle_map(p, q)) == _bits(_pqp(p, q))
 
 
 # --- concurrence ---------------------------------------------------------

@@ -65,21 +65,22 @@ def test_cli_main_never_loads_argparse():
 
 
 def test_generated_source_shows_once_linecache_is_loaded():
-    # linecache loads after the import that compiles the sandwich: its
+    # linecache loads after the import that compiles oracle_mul: its
     # source shows from the next generated function on.
-    assert _fresh("import json, sys, biquat\n"
+    assert _fresh("import json, sys, biquat.exact\n"
                   "before = 'linecache' in sys.modules\n"
                   "import inspect\n"
-                  "from biquat.entanglement import _sandwich\n"
+                  "from biquat.exact import oracle_mul\n"
                   "def shown():\n"
                   "    try:\n"
-                  "        return inspect.getsource(_sandwich)[:20]\n"
+                  "        return inspect.getsource(oracle_mul)[:21]\n"
                   "    except OSError:\n"
                   "        return None\n"
                   "got = [before, shown()]\n"
-                  "import biquat.exact\n"
+                  "from biquat import verify\n"
+                  "verify._compiled('(alpha, beta, 0, 0)', 1, 3)\n"
                   "print(json.dumps(got + [shown()]))"
-                  ) == [False, None, "def _sandwich(p, q):"]
+                  ) == [False, None, "def oracle_mul(p, q):"]
 
 
 def test_exact_import_loads_no_verifier():
