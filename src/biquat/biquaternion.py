@@ -86,7 +86,7 @@ def from_quat(q: Quat) -> BiQuat:
 
 
 def real_part(q: BiQuat) -> Quat:
-    return Quat(q.c1.real, q.c2.real, q.c3.real, q.c4.real)
+    return _new(Quat, (q.c1.real, q.c2.real, q.c3.real, q.c4.real))
 
 
 def json_form(q: BiQuat) -> dict:

@@ -57,7 +57,8 @@ class Variant(Enum):
 
     @property
     def positions(self) -> tuple[int, int]:
-        return self.value
+        # _value_ is a plain attribute; Enum's value is a Python descriptor.
+        return self._value_
 
 
 class StateAmp(NamedTuple):
@@ -188,8 +189,8 @@ def place_pair(positions: tuple[int, int], a, b, zero) -> list:
 
 def embed_state(state: StateAmp) -> BiQuat:
     """Place (alpha, beta) on the variant's basis pair."""
-    q = BiQuat(*place_pair(state.variant.positions, complex(state.alpha),
-                           complex(state.beta), 0j))
+    q = _new(BiQuat, place_pair(state.variant.positions, complex(state.alpha),
+                                complex(state.beta), 0j))
     require_unit_norm(norm_h(q), "state amplitudes are not normalized")
     return q
 

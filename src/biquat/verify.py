@@ -403,12 +403,15 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
         max_err = 0.0
         for _ in range(samples):
             while True:
-                parts = [rng.uniform(-1.0, 1.0) for _ in range(4)]
-                n = math.sqrt(sum(x * x for x in parts))
+                a1, a2, b1, b2 = (rng.uniform(-1.0, 1.0) for _ in range(4))
+                # One left-to-right sum, not sum(): from Python 3.12 sum()
+                # of floats is compensated, which would make the report
+                # depend on the version.
+                n = math.sqrt(a1 * a1 + a2 * a2 + b1 * b1 + b2 * b2)
                 if n > 1e-3:
                     break
-            alpha_f = complex(parts[0], parts[1]) / n
-            beta_f = complex(parts[2], parts[3]) / n
+            alpha_f = complex(a1, a2) / n
+            beta_f = complex(b1, b2) / n
             t = rng.uniform(0.0, 2.0 * math.pi)
             ai_f, aj_f = math.cos(t), math.sin(t)
             q_f = embed_state(StateAmp(alpha_f, beta_f, case.variant))

@@ -135,16 +135,22 @@ def test_complex_literal_grammar_equals_the_three_pattern_union(token):
 # Devanagari, Bengali, fullwidth and mathematical bold).
 _DIGIT_RUN = st.text("0123456789\u0660\u0669\u0967\u09e7\uff10\uff19"
                      "\U0001d7ce\U0001d7d7", min_size=1, max_size=10)
-# Every shape _UNSIGNED matches: digits, digits., digits.digits and
-# .digits, each with or without an exponent [eE][+-]?digits.
-_UNSIGNED_TEXT = st.builds(
-    str.__add__,
-    st.one_of(_DIGIT_RUN, _DIGIT_RUN.map("{}.".format),
-              st.builds("{}.{}".format, _DIGIT_RUN, _DIGIT_RUN),
-              _DIGIT_RUN.map(".{}".format)),
-    st.one_of(st.just(""),
-              st.builds("{}{}{}".format, st.sampled_from("eE"),
-                        st.sampled_from(("", "+", "-")), _DIGIT_RUN)))
+
+
+def _unsigned_text(digit_run, exponent_run):
+    """Every shape _UNSIGNED matches: digits, digits., digits.digits and
+    .digits, each with or without an exponent [eE][+-]?digits."""
+    return st.builds(
+        str.__add__,
+        st.one_of(digit_run, digit_run.map("{}.".format),
+                  st.builds("{}.{}".format, digit_run, digit_run),
+                  digit_run.map(".{}".format)),
+        st.one_of(st.just(""),
+                  st.builds("{}{}{}".format, st.sampled_from("eE"),
+                            st.sampled_from(("", "+", "-")), exponent_run)))
+
+
+_UNSIGNED_TEXT = _unsigned_text(_DIGIT_RUN, _DIGIT_RUN)
 
 
 @st.composite
@@ -216,6 +222,89 @@ def test_parse_places_whitespace_by_the_gap_rule(pieces):
         return
     assert want is None, text
     assert repr(got) == repr(BiQuat(*(v for _, v, _, _ in pieces)))
+
+
+def _per_piece_reader(text):
+    """The comma-form reader without the complex() pass, kept as the
+    reference: every piece through cli._RE_COMPLEX, then cli._refusal."""
+    pieces = text.split(",")
+    if len(pieces) != 4:
+        raise ParseError(f"expected 4 components, found {len(pieces)}")
+    parts = []
+    for m in map(cli._RE_COMPLEX.match, pieces):
+        if m is None:
+            break
+        sign, digits, imag_sign, imag_digits, unit = m.groups()
+        x = -float(digits) if sign == "-" else float(digits)
+        if imag_digits is not None:
+            parts.append(complex(x, -float(imag_digits) if imag_sign == "-"
+                                 else float(imag_digits)))
+        else:
+            parts.append(complex(0.0, x) if unit else complex(x, 0.0))
+    else:
+        if all(map(cmath.isfinite, parts)):
+            return BiQuat(*parts)
+    raise cli._refusal(pieces, parts)
+
+
+def _read_outcome(read, text):
+    """Every part's bits, or the ParseError's (message, position)."""
+    try:
+        q = read(text)
+    except ParseError as e:
+        return str(e), e.position
+    assert type(q) is BiQuat
+    return [(c.real.hex(), c.imag.hex()) for c in q]
+
+
+# Exponents of up to three digits, so that most literals are finite.
+_ASCII_UNSIGNED = _unsigned_text(
+    st.text("0123456789", min_size=1, max_size=20),
+    st.text("0123456789", min_size=1, max_size=3))
+# A gap-free literal in ASCII: a, bi or a+bi, a signed or not.
+_ASCII_LITERAL = st.builds(
+    "{}{}{}".format, st.sampled_from(("", "+", "-")), _ASCII_UNSIGNED,
+    st.one_of(st.just(""), st.just("i"),
+              st.builds("{}{}i".format, st.sampled_from("+-"),
+                        _ASCII_UNSIGNED)))
+# What complex() would read, or nearly read, where _RE_COMPLEX does not,
+# or the reverse: j and J, the underscore, the names of the non-finite
+# numbers and their letters, a parenthesis, an "i" with no coefficient or
+# after an exponent letter, an Arabic-Indic digit, an ideographic space
+# and a vertical tab (both whitespace to complex() and str.strip()), an
+# overflowing exponent, a negative zero, and the gate's own characters,
+# which put blanks inside a literal or cut it in two.
+_NEAR_MISSES = ("j", "J", "_", "n", "inf", "nan", "(", ")", "i", "+i", "1+i",
+                "ei", "\u0663", "\u3000", "\x0b", "1e999", "-0i", " ", "\t",
+                "+", "-", ".", "e", ",")
+
+
+@st.composite
+def _plain_text(draw):
+    """3 to 5 comma-separated pieces: mostly gap-free ASCII literals with
+    blanks around them, some made of near misses and digits alone."""
+    pieces = []
+    for _ in range(draw(st.sampled_from((3, 4, 4, 4, 4, 4, 4, 5)))):
+        if draw(st.integers(0, 9)) == 0:
+            pieces.append("".join(draw(st.lists(
+                st.sampled_from(_NEAR_MISSES + tuple("0123456789")),
+                max_size=6))))
+        else:
+            blank = st.text(" \t", max_size=2)
+            pieces.append(draw(blank) + draw(_ASCII_LITERAL) + draw(blank))
+    return ",".join(pieces)
+
+
+@settings(max_examples=300)
+@given(_plain_text(), st.integers(0, 10**6))
+def test_parse_equals_the_per_piece_reader(text, at):
+    # The complex() pass is only a faster way to the same result: the
+    # same bits of every part, or the same message and position, for the
+    # drawn text and for it with each near miss put in at one place.
+    at %= len(text) + 1
+    for t in (text, *[text[:at] + miss + text[at:] for miss in _NEAR_MISSES]):
+        assert _read_outcome(parse_biquat, t) == _read_outcome(
+            _per_piece_reader, t), t
 
 
 @pytest.mark.parametrize("text,value", [
