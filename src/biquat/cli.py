@@ -6,20 +6,23 @@ and from ``_DESCRIPTION``, which holds what the table cannot say.
 
 Text crosses the boundary at C speed.  ``parse_biquat`` reads the
 comma form with one of two readers.  When one match of ``_RE_PLAIN``
-finds only ASCII digits, ".", "e", "E", signs, spaces, tabs and commas,
-with an "i" only right after a digit or a point, each piece goes to
-``complex()`` with "j" for "i", and four finite values are the result.
-Any other text, a piece ``complex()`` refuses or a non-finite value
-goes to the per-piece reader, which matches each piece against the one
-literal pattern, ``_RE_COMPLEX``: it alone reads the gap forms ("- 1",
-"0.5 + 0.5 i") and non-ASCII digits, and ``_refusal`` scans the text it
-refuses again to name the piece at fault.  Both readers give the same
-bits.  Over ``_RE_PLAIN``'s characters ``complex()`` accepts exactly
-the gap-free literals ``_RE_COMPLEX`` accepts: "j", "_", "nan", "inf"
-and parentheses cannot occur, and the "i" rule shuts out the forms with
-a bare unit, "i", "+i" and "1+i".  ``complex()`` reads each number with
-``float()``'s correctly rounded conversion and applies its sign, so
-"-0i" is ``complex(0.0, -0.0)`` in both.
+finds only ASCII digits, ".", "e", "E", signs, spaces, tabs, line ends
+(LF, CR) and commas, with an "i" only right after a digit or a point,
+each piece goes to ``complex()`` with "j" for "i", and four finite
+values are the result; so does a text read from standard input with
+its newline.  Any other text, a piece ``complex()`` refuses or a
+non-finite value goes to the per-piece reader, which matches each piece
+against the one literal pattern, ``_RE_COMPLEX``: it alone reads the
+gap forms ("- 1", "0.5 + 0.5 i") and non-ASCII digits, and ``_refusal``
+scans the text it refuses again to name the piece at fault.  Both
+readers give the same bits.  Over ``_RE_PLAIN``'s characters
+``complex()`` accepts exactly the gap-free literals ``_RE_COMPLEX``
+accepts: "j", "_", "nan", "inf" and parentheses cannot occur, the "i"
+rule shuts out the forms with a bare unit, "i", "+i" and "1+i", and
+both strip a line end around a literal and refuse one inside it.
+``complex()`` reads each number with ``float()``'s correctly rounded
+conversion and applies its sign, so "-0i" is ``complex(0.0, -0.0)``
+in both.
 
 Every ``--json`` report with an indent is written by ``_json_text``,
 which gives ``json.dumps(obj, indent=2)`` byte for byte.  Up to Python
@@ -140,7 +143,8 @@ def _parse_json_biquat(text: str) -> BiQuat:
 # The characters of a comma form complex() reads as _RE_COMPLEX does: a
 # class repetition, since a per-character alternation costs more than the
 # reader it stands in front of.
-_RE_PLAIN = re.compile(r"[0-9.eE+\- \t,]*(?:(?<=[0-9.])i[0-9.eE+\- \t,]*)*\Z")
+_RE_PLAIN = re.compile(
+    r"[0-9.eE+\- \t\n\r,]*(?:(?<=[0-9.])i[0-9.eE+\- \t\n\r,]*)*\Z")
 
 
 def parse_biquat(text: str) -> BiQuat:
@@ -148,9 +152,10 @@ def parse_biquat(text: str) -> BiQuat:
     Whitespace may stand around a literal and between its sign, number
     and ``i``, never inside a number.
 
-    Text that ``_RE_PLAIN`` matches is read by ``complex()``, one call per
-    piece, and kept when there are four pieces and every value is
-    finite.  Everything else, and every text that reader declines, is
+    Text that ``_RE_PLAIN`` matches, a comma form of ASCII literals
+    with blanks and line ends around them, is read by ``complex()``, one
+    call per piece, and kept when there are four pieces and every value
+    is finite.  Everything else, and every text that reader declines, is
     read piece by piece with ``_RE_COMPLEX``, which alone takes blanks
     inside a literal and names a fault with its position.  The two agree
     bit for bit wherever both read (see the module docstring)."""

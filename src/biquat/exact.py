@@ -31,12 +31,9 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import _codegen
-
-if TYPE_CHECKING:  # random.Random is named in annotations only
-    import random
 
 __all__ = [
     "ExactScalar",
@@ -45,9 +42,6 @@ __all__ = [
     "oracle_mul",
     "exact_conj",
     "check_basis_associativity",
-    "random_rational",
-    "random_dyadic",
-    "random_exact_biquat",
 ]
 
 _Rational = (int, Fraction)
@@ -425,41 +419,3 @@ def check_basis_associativity() -> bool:
                 if left != right or s_ab * s1 != s_bc * s2:
                     return False
     return True
-
-
-_DYADIC_MAX_POWER = 6
-
-
-def random_rational(rng: random.Random, limit: int = 97) -> Fraction:
-    """Fraction with |numerator| and denominator bounded by limit."""
-    return Fraction(rng.randint(-limit, limit), rng.randint(1, limit))
-
-
-def random_dyadic(rng: random.Random, limit: int = 97,
-                  max_power: int = _DYADIC_MAX_POWER) -> Fraction:
-    """Dyadic rational: float conversion and small float sums of
-    products stay exact, which lets equivalence tests demand equality."""
-    return Fraction(rng.randint(-limit, limit), 2 ** rng.randint(0, max_power))
-
-
-def random_exact_biquat(rng: random.Random, limit: int = 97,
-                        dyadic: bool = False) -> ExactBiQuat:
-    """Eight ``random_dyadic`` (or ``random_rational``) draws, as integers.
-
-    Each draw repeats ``getrandbits`` until below the range's width, as
-    ``Random.randint`` does (3.10-3.13): same values, same stream.
-    """
-    bits, span = rng.getrandbits, 2 * operator.index(limit) + 1
-    top = _DYADIC_MAX_POWER + 1 if dyadic else limit
-    if span < 1 or top < 1:
-        raise ValueError(f"empty range for limit {limit!r}")
-    ks, kt = span.bit_length(), top.bit_length()
-    pairs = []
-    for _ in range(8):
-        while (n := bits(ks)) >= span:
-            pass
-        while (d := bits(kt)) >= top:
-            pass
-        pairs.append((n - limit, 1 << d if dyadic else d + 1))
-    den = math.lcm(*(d for _, d in pairs))
-    return _reduced([n * (den // d) for n, d in pairs], den)

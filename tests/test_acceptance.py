@@ -19,11 +19,13 @@ from biquat.entanglement import (StateAmp, Variant, concurrence, embed_state,
                                  entangle, entangle_map,
                                  predicted_concurrence)
 from biquat.exact import (ExactBiQuat, check_basis_associativity, exact_conj,
-                          oracle_mul, random_exact_biquat)
+                          oracle_mul)
 from biquat.quaternion import (Quat, angle_between, from_vector, inverse,
                                magnitude, mul, norm, polar, scalar_part)
 from biquat.rotations import conjugate_rotation, lorentz_map, make_triad
 from biquat.verify import verify_examples, verify_theorem
+
+from exact_draws import random_exact_biquat
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 I_SQRT2 = 1j * INV_SQRT2

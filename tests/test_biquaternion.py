@@ -11,15 +11,16 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
 from biquat.biquaternion import (CONJUGATION_KINDS, BiQuat, bmul, conjugate,
                                  from_quat, inner_h, inner_q, inverse_h,
                                  is_central, is_real, norm_h, normalized,
                                  PolarFormC, polar_c, real_part)
-from biquat.exact import ExactBiQuat, exact_conj, oracle_mul, random_exact_biquat
+from biquat.exact import ExactBiQuat, exact_conj, oracle_mul
 from biquat.quaternion import Quat, conj, mul
+
+from exact_draws import random_exact_biquat
 
 X = BiQuat(0, 1j, 0, 0)
 Y = BiQuat(0, 0, 1j, 0)
@@ -462,28 +463,64 @@ def test_polar_c_is_unchanged_where_the_norm_is_normal():
 
 # --- matrix representation ------------------------------------------------
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-_ID = np.eye(2, dtype=complex)
+# 2x2 complex matrices as row tuples, with the product and the usual
+# allclose rule written out, so the check needs no third-party package.
+_SX = ((0, 1), (1, 0))
+_SY = ((0, -1j), (1j, 0))
+_SZ = ((1, 0), (0, -1))
+_ID = ((1, 0), (0, 1))
 
 
-def _rep(q: BiQuat) -> np.ndarray:
-    return (q.c1 * _ID + q.c2 * (-1j * _SX)
-            + q.c3 * (-1j * _SY) + q.c4 * (-1j * _SZ))
+def _rep(q: BiQuat) -> tuple:
+    """c1 I - i (c2 sx + c3 sy + c4 sz), entry by entry."""
+    return tuple(tuple(q.c1 * e + q.c2 * (-1j * x) + q.c3 * (-1j * y)
+                       + q.c4 * (-1j * z) for e, x, y, z in zip(*rows))
+                 for rows in zip(_ID, _SX, _SY, _SZ))
+
+
+def _matmul(a: tuple, b: tuple) -> tuple:
+    return tuple(tuple(a[r][0] * b[0][c] + a[r][1] * b[1][c] for c in range(2))
+                 for r in range(2))
+
+
+def _allclose(a: tuple, b: tuple, rtol=1e-05, atol=1e-08) -> bool:
+    """Every entry within atol + rtol * |b| of b's, as allclose reads it."""
+    return all(abs(x - y) <= atol + rtol * abs(y)
+               for ra, rb in zip(a, b, strict=True)
+               for x, y in zip(ra, rb, strict=True))
 
 
 def test_matrix_representation_is_homomorphism():
     rng = random.Random(59)
     for _ in range(300):
         p, q = _rand_biquat(rng), _rand_biquat(rng)
-        assert np.allclose(_rep(bmul(p, q)), _rep(p) @ _rep(q), atol=1e-12)
+        assert _allclose(_rep(bmul(p, q)), _matmul(_rep(p), _rep(q)),
+                         atol=1e-12)
 
 
 def test_pauli_elements_map_to_pauli_matrices():
-    assert np.allclose(_rep(X), _SX)
-    assert np.allclose(_rep(Y), _SY)
-    assert np.allclose(_rep(Z), _SZ)
+    assert _allclose(_rep(X), _SX)
+    assert _allclose(_rep(Y), _SY)
+    assert _allclose(_rep(Z), _SZ)
+
+
+def test_matrix_check_rejects_what_it_should():
+    # The plain-Python check can fail: a wrong Pauli matrix, a product
+    # taken in the wrong order, and a zero entry moved by 1e-9 against
+    # atol 1e-12.  On an entry of modulus 1, rtol's 1e-05 admits 1e-9.
+    assert not _allclose(_rep(X), _SY)
+    rng = random.Random(59)
+    for _ in range(20):
+        p, q = _rand_biquat(rng), _rand_biquat(rng)
+        assert not _allclose(_rep(bmul(q, p)), _matmul(_rep(p), _rep(q)),
+                             atol=1e-12)
+    prod = _matmul(_rep(X), _rep(Y))
+    assert prod[0][1] == 0 and abs(prod[0][0]) == 1
+    off = ((prod[0][0], prod[0][1] + 1e-9), prod[1])
+    assert not _allclose(off, prod, atol=1e-12)
+    assert not _allclose(prod, off, atol=1e-12)
+    on = ((prod[0][0] + 1e-9, prod[0][1]), prod[1])
+    assert _allclose(on, prod, atol=1e-12)
 
 
 def test_norm_h_relation_documented():

@@ -273,16 +273,17 @@ _ASCII_LITERAL = st.builds(
 # after an exponent letter, an Arabic-Indic digit, an ideographic space
 # and a vertical tab (both whitespace to complex() and str.strip()), an
 # overflowing exponent, a negative zero, and the gate's own characters,
-# which put blanks inside a literal or cut it in two.
+# which put blanks or line ends inside a literal or cut it in two.
 _NEAR_MISSES = ("j", "J", "_", "n", "inf", "nan", "(", ")", "i", "+i", "1+i",
                 "ei", "\u0663", "\u3000", "\x0b", "1e999", "-0i", " ", "\t",
-                "+", "-", ".", "e", ",")
+                "\n", "\r", "+", "-", ".", "e", ",")
 
 
 @st.composite
 def _plain_text(draw):
     """3 to 5 comma-separated pieces: mostly gap-free ASCII literals with
-    blanks around them, some made of near misses and digits alone."""
+    blanks and line ends around them, some made of near misses and
+    digits alone."""
     pieces = []
     for _ in range(draw(st.sampled_from((3, 4, 4, 4, 4, 4, 4, 5)))):
         if draw(st.integers(0, 9)) == 0:
@@ -290,7 +291,7 @@ def _plain_text(draw):
                 st.sampled_from(_NEAR_MISSES + tuple("0123456789")),
                 max_size=6))))
         else:
-            blank = st.text(" \t", max_size=2)
+            blank = st.text(" \t\n\r", max_size=2)
             pieces.append(draw(blank) + draw(_ASCII_LITERAL) + draw(blank))
     return ",".join(pieces)
 
@@ -305,6 +306,17 @@ def test_parse_equals_the_per_piece_reader(text, at):
     for t in (text, *[text[:at] + miss + text[at:] for miss in _NEAR_MISSES]):
         assert _read_outcome(parse_biquat, t) == _read_outcome(
             _per_piece_reader, t), t
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", " \n\t"])
+def test_a_comma_text_with_its_line_end_takes_the_complex_pass(
+        monkeypatch, end):
+    # What sys.stdin.read() gives for "concurrence -": the newline is in
+    # the gate's class, so the per-piece reader is never reached.
+    monkeypatch.setattr(cli, "_RE_COMPLEX", None)
+    assert parse_biquat("0.6, 0, 0, 0.8" + end) == BiQuat(0.6, 0, 0, 0.8)
+    assert parse_biquat("0.6+0.8i, 0,\n0, 0" + end) == BiQuat(0.6 + 0.8j,
+                                                              0, 0, 0)
 
 
 @pytest.mark.parametrize("text,value", [

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from biquat import exact
 from biquat.biquaternion import BiQuat, bmul, conjugate
 from biquat.exact import (STRUCTURE, ExactBiQuat, ExactScalar,
-                          check_basis_associativity, exact_conj, oracle_mul,
-                          random_dyadic, random_exact_biquat, random_rational)
+                          check_basis_associativity, exact_conj, oracle_mul)
+
+from exact_draws import random_dyadic, random_exact_biquat, random_rational
 
 
 def _exact(*coords) -> ExactBiQuat:

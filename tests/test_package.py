@@ -84,7 +84,8 @@ def test_generated_source_shows_once_linecache_is_loaded():
 
 
 def test_exact_import_loads_no_verifier():
-    # random.Random appears in exact's annotations only, which stay text.
+    # Neither the verifier nor random: the seeded draws of the tests live
+    # in tests/exact_draws.py, not in the library.
     assert _loaded_after("import biquat.exact",
                          ["biquat.exact", "biquat.verify", "random"]
                          ) == ["biquat.exact"]

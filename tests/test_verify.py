@@ -434,6 +434,30 @@ def test_each_mutant_fails_only_its_own_case(monkeypatch, case_id, old, new,
     assert "overall: 7/8 cases pass" in out.getvalue()
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_a_nan_law_sample_fails_its_case(monkeypatch, every):
+    # A concurrence kernel that returns NaN on every call, or on every
+    # other call, so that finite errors follow the NaN: each case's law
+    # verdict fails, the report shows the NaN, and the CLI exits 3.
+    calls = itertools.count()
+
+    def nan_kernel(key, concurrence):
+        return lambda p, q: math.nan if next(calls) % every == 0 else 0.0
+
+    monkeypatch.setattr(verify, "_kernel", nan_kernel)
+    report = verify_theorem(samples=50, seed=7)
+    assert not report.all_pass
+    for c in report.cases:
+        assert c.identity_pass and not c.law_pass
+        assert math.isnan(c.law_max_error)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["verify-theorem", "--samples", "50"]) == 3
+    text = out.getvalue()
+    assert text.count("law: FAIL (max err nan)") == 8
+    assert "overall: 0/8 cases pass" in text
+
+
 def test_verify_theorem_passes():
     report = verify_theorem(samples=25, seed=3)
     assert report.all_pass
