@@ -4,25 +4,27 @@ The grammar is written once, in ``_COMMANDS``: ``_read_argv`` reads
 every argv from it, and ``_help`` writes the help and usage text from it
 and from ``_DESCRIPTION``, which holds what the table cannot say.
 
-Text crosses the boundary at C speed.  ``parse_biquat`` reads the
-comma form with one of two readers.  When one match of ``_RE_PLAIN``
-finds only ASCII digits, ".", "e", "E", signs, spaces, tabs, line ends
-(LF, CR) and commas, with an "i" only right after a digit or a point,
-each piece goes to ``complex()`` with "j" for "i", and four finite
-values are the result; so does a text read from standard input with
-its newline.  Any other text, a piece ``complex()`` refuses or a
-non-finite value goes to the per-piece reader, which matches each piece
-against the one literal pattern, ``_RE_COMPLEX``: it alone reads the
-gap forms ("- 1", "0.5 + 0.5 i") and non-ASCII digits, and ``_refusal``
-scans the text it refuses again to name the piece at fault.  Both
-readers give the same bits.  Over ``_RE_PLAIN``'s characters
-``complex()`` accepts exactly the gap-free literals ``_RE_COMPLEX``
-accepts: "j", "_", "nan", "inf" and parentheses cannot occur, the "i"
-rule shuts out the forms with a bare unit, "i", "+i" and "1+i", and
-both strip a line end around a literal and refuse one inside it.
-``complex()`` reads each number with ``float()``'s correctly rounded
-conversion and applies its sign, so "-0i" is ``complex(0.0, -0.0)``
-in both.
+Text crosses the boundary at C speed, and ``complex()`` reads every
+comma-form value.  When one match of ``_RE_PLAIN`` finds only ASCII
+digits, ".", "e", "E", signs, spaces, tabs, line ends (LF, CR) and
+commas, with an "i" only right after a digit or a point,
+``parse_biquat`` hands each piece to ``complex()`` with "j" for "i",
+and four finite values are the result; so does a text read from
+standard input with its newline.  Any other text, a piece ``complex()``
+refuses or a non-finite value takes one pass over the pieces, in which
+the one literal pattern, ``_RE_COMPLEX``, only decides acceptance: it
+alone takes the gap forms ("- 1", "0.5 + 0.5 i") and non-ASCII digits.
+A piece it accepts, stripped and with its blanks dropped, goes to
+``complex()`` too; the first piece refused or non-finite is the fault.
+Over ``_RE_PLAIN``'s characters ``complex()`` accepts exactly the
+gap-free literals ``_RE_COMPLEX`` accepts: "j", "_", "nan", "inf" and
+parentheses cannot occur, the "i" rule shuts out the forms with a bare
+unit, "i", "+i" and "1+i", and both strip a line end around a literal
+and refuse one inside it.  So the first pass keeps only what the second
+would keep, with the same bits from the same reader.  ``complex()``
+reads each number with ``float()``'s correctly rounded conversion,
+Unicode digits included, and applies its sign, so "-0i" is
+``complex(0.0, -0.0)``.
 
 Every ``--json`` report with an indent is written by ``_json_text``,
 which gives ``json.dumps(obj, indent=2)`` byte for byte.  Up to Python
@@ -85,13 +87,11 @@ _GAP = r"[ \t]*"
 # The one pattern for a comma-separated piece, in the three literal forms
 # a, bi and a+bi.  Around the literal it takes the whitespace str.strip()
 # drops; inside it, spaces and tabs between a sign, a number and the "i",
-# never inside a number.  Groups: the sign and the digits of the first
-# number, the sign and the digits of the imaginary part of a+bi, and the
-# "i" of bi.  Each gap is bound to the token after it, so refused text
-# costs linear time.
+# never inside a number.  Each gap is bound to the token after it, so
+# refused text costs linear time.
 _RE_COMPLEX = re.compile(
-    rf"\s*(?:([+-]){_GAP})?({_UNSIGNED})"
-    rf"(?:{_GAP}(?:([+-]){_GAP}({_UNSIGNED}){_GAP}i|(i)))?\s*\Z")
+    rf"\s*(?:[+-]{_GAP})?{_UNSIGNED}"
+    rf"(?:{_GAP}(?:[+-]{_GAP}{_UNSIGNED}{_GAP})?i)?\s*\Z")
 
 
 def _reject_constant(name: str):
@@ -155,10 +155,12 @@ def parse_biquat(text: str) -> BiQuat:
     Text that ``_RE_PLAIN`` matches, a comma form of ASCII literals
     with blanks and line ends around them, is read by ``complex()``, one
     call per piece, and kept when there are four pieces and every value
-    is finite.  Everything else, and every text that reader declines, is
-    read piece by piece with ``_RE_COMPLEX``, which alone takes blanks
-    inside a literal and names a fault with its position.  The two agree
-    bit for bit wherever both read (see the module docstring)."""
+    is finite.  Everything else, and every text that pass declines, goes
+    piece by piece: ``_RE_COMPLEX``, which alone takes blanks inside a
+    literal, accepts or refuses the piece, and ``complex()`` reads an
+    accepted one with its blanks dropped.  The first piece, left to
+    right, that is refused or non-finite is named with the position of
+    its first non-blank character (see the module docstring)."""
     if _RE_PLAIN.match(text):
         try:
             parts = [*map(complex, text.replace("i", "j").split(","))]
@@ -173,43 +175,26 @@ def parse_biquat(text: str) -> BiQuat:
     if len(pieces) != 4:
         raise ParseError(f"expected 4 components, found {len(pieces)}")
     parts = []
-    for m in map(_RE_COMPLEX.match, pieces):
-        if m is None:
-            break
-        sign, digits, imag_sign, imag_digits, unit = m.groups()
-        x = -float(digits) if sign == "-" else float(digits)
-        if imag_digits is not None:
-            parts.append(complex(x, -float(imag_digits) if imag_sign == "-"
-                                 else float(imag_digits)))
-        else:
-            parts.append(complex(0.0, x) if unit else complex(x, 0.0))
-    else:
-        if all(map(cmath.isfinite, parts)):  # 1e999 overflows to inf
-            return _new(BiQuat, parts)
-    raise _refusal(pieces, parts)
-
-
-def _refusal(pieces: list, values: list) -> ParseError:
-    """The ParseError of the first refused piece, left to right.
-    ``values`` holds the values of the pieces before the first one
-    ``_RE_COMPLEX`` refused; the position is the piece's first non-blank
-    character."""
     start = 0
-    for k, seg in enumerate(pieces):
-        position = start + len(seg) - len(seg.lstrip())
-        start += len(seg) + 1
-        if k < len(values):
-            if cmath.isfinite(values[k]):
-                continue
-            return ParseError("non-finite number", position)
-        stripped = seg.strip()
+    for piece in pieces:
+        position = start + len(piece) - len(piece.lstrip())
+        start += len(piece) + 1
+        stripped = piece.strip()
         token = stripped.replace(" ", "").replace("\t", "")
-        if _RE_COMPLEX.match(token):
+        if _RE_COMPLEX.match(piece):
+            c = complex(token.replace("i", "j"))
+            if not cmath.isfinite(c):  # 1e999 overflows to inf
+                raise ParseError("non-finite number", position)
+            parts.append(c)
+        elif _RE_COMPLEX.match(token):
             # Only spaces and tabs stand between the piece and a literal,
             # at places where they would split a number: "1 2", "1e 3".
-            return ParseError(f"whitespace inside a number in {stripped!r}",
-                              position)
-        return ParseError(f"malformed complex literal {token!r}", position)
+            raise ParseError(f"whitespace inside a number in {stripped!r}",
+                             position)
+        else:
+            raise ParseError(f"malformed complex literal {token!r}",
+                             position)
+    return _new(BiQuat, parts)
 
 
 def parse_quat(text: str) -> Quat:
@@ -287,33 +272,16 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _json_key(key) -> str:
-    # json's dict-key rule: a str as it is, a float, bool, None or int
-    # by its JSON text; TypeError for anything else.
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte: the same isinstance
-    order (str, None, True, False, int, float, list or tuple, dict), ASCII
-    escapes by ``encode_basestring_ascii``, keys in the dict's order, and
-    TypeError for a value or key json cannot encode.  Circular references
-    are not looked for.  It beats ``json.dumps`` where that runs its
-    pure-Python encoder for an indent, up to 3.12; from 3.13 the C encoder
-    takes the indent and ``json.dumps`` is about twice as fast."""
+    """``json.dumps(obj, indent=2)``, byte for byte, for what a report
+    holds: the same isinstance order (str, None, True, False, int, float,
+    list, dict), ASCII escapes by ``encode_basestring_ascii``, keys in the
+    dict's order, and TypeError for any other value and for any key but
+    a str (json writes an int, float, bool or None key as text).
+    Circular references are not looked for.  It beats ``json.dumps``
+    where that runs its pure-Python encoder for an indent, up to 3.12;
+    from 3.13 the C encoder takes the indent and ``json.dumps`` is about
+    twice as fast."""
     out = []
     emit = out.append
 
@@ -331,7 +299,7 @@ def _json_text(obj) -> str:
             emit(int.__repr__(o))
         elif isinstance(o, float):
             emit(_json_float(o))
-        elif isinstance(o, (list, tuple)):
+        elif isinstance(o, list):
             if not o:
                 emit("[]")
                 return
@@ -350,7 +318,7 @@ def _json_text(obj) -> str:
             sep = "{" + inner
             for key, item in o.items():
                 emit(sep)
-                emit(_encode_str(_json_key(key)))
+                emit(_encode_str(key))
                 emit(": ")
                 value(item, inner)
                 sep = "," + inner
@@ -447,7 +415,7 @@ def _cmd_rotate(ns) -> int:
     if ns.json:
         print(_json_text({"map": kind, "result": json_form(result)}))
     else:
-        print(format_biquat(result))
+        print(", ".join([_literal(c) for c in result]))
     return 0
 
 
@@ -505,10 +473,10 @@ def _cmd_sweep(ns) -> int:
         for tq in mix:
             ma, mb = math.cos(tq), math.sin(tq)
             betas = [mb * complex(math.cos(pb), math.sin(pb)) for pb in phase]
-            beta_texts = [format_complex(beta) for beta in betas]
+            beta_texts = [_literal(beta) for beta in betas]
             for pa in phase:
                 alpha = ma * complex(math.cos(pa), math.sin(pa))
-                alpha_text = format_complex(alpha)
+                alpha_text = _literal(alpha)
                 for beta, beta_text in zip(betas, beta_texts):
                     qv = embed_state(StateAmp(alpha, beta, Variant.V12))
                     state_text = f"{alpha_text},{beta_text},"
@@ -719,9 +687,6 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"biquat: parse error: {e}", file=sys.stderr)
         return 1
-    except RestrictionError as e:
-        print(f"biquat: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"biquat: error: {e}", file=sys.stderr)
         return 1
