@@ -26,6 +26,8 @@ reads each number with ``float()``'s correctly rounded conversion,
 Unicode digits included, and applies its sign, so "-0i" is
 ``complex(0.0, -0.0)``.
 
+A biquaternion's JSON form is ``json_form``'s, float entries with a
+zero's sign kept, in ``format_biquat``'s JSON style and every report.
 Every ``--json`` report with an indent is written by ``_json_text``,
 which gives ``json.dumps(obj, indent=2)`` byte for byte.  Up to Python
 3.12, ``json`` writes any indented text with its pure-Python encoder,
@@ -210,14 +212,8 @@ def _require_real(q: BiQuat, message: str) -> Quat:
 
 
 def _fmt_float(x: float) -> str:
-    # repr round-trips exactly; _json_num's rule drops an integral ".0".
-    return repr(_json_num(x))
-
-
-def _json_num(x: float):
-    # The one integral-number rule of both styles: an integral float below
-    # 1e16 is written as an int, a zero of either sign as 0.
-    return int(x) if x.is_integer() and abs(x) < 1e16 else x
+    # repr round-trips; an integral float below 1e16, either zero too, as int.
+    return repr(int(x) if x.is_integer() and abs(x) < 1e16 else x)
 
 
 def format_complex(c: complex) -> str:
@@ -242,6 +238,7 @@ def _literal(c: complex) -> str:
 def format_biquat(q: BiQuat, style: str = "plain") -> str:
     """Render a biquaternion; the plain style parses back bit-exactly but
     for a zero's sign: ``-0.0`` prints as ``0`` and comes back as ``0.0``.
+    The JSON style, ``json.dumps(json_form(q))``, keeps a zero's sign.
     ValueError for a non-finite part, which no style could parse back."""
     for k, c in enumerate(q, 1):
         if not cmath.isfinite(c):
@@ -249,57 +246,47 @@ def format_biquat(q: BiQuat, style: str = "plain") -> str:
     if style == "plain":
         return ", ".join([_literal(complex(c)) for c in q])
     if style == "json":
-        return json.dumps({key: [_json_num(x) for x in xs]
-                           for key, xs in json_form(q).items()})
+        return json.dumps(json_form(q))
     if style == "unicode":
-        units = ("", "î", "ĵ", "k̂")
-        parts = []
-        for c, u in zip(q, units):
-            lit = _literal(complex(c))
-            parts.append(f"({lit}){u}" if u else lit)
-        return " + ".join(parts)
+        c1, *rest = [_literal(complex(c)) for c in q]
+        return " + ".join([c1] + [f"({lit}){u}" for lit, u in
+                                  zip(rest, ("î", "ĵ", "k̂"))])
     raise ValueError(f"unknown style: {style!r}")
 
 
 def _json_float(x: float) -> str:
-    # json's float rule: NaN and the infinities by name, else repr.
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    # json's float rule: repr, but NaN and the infinities by name.
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+# json's text of a leaf, by exact type: no report holds a subclass.
+_JSON_LEAF = {str: _encode_str, float: _json_float, int: int.__repr__,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda o: "null"}
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for what a report
-    holds: the same isinstance order (str, None, True, False, int, float,
-    list, dict), ASCII escapes by ``encode_basestring_ascii``, keys in the
-    dict's order, and TypeError for any other value and for any key but
-    a str (json writes an int, float, bool or None key as text).
-    Circular references are not looked for.  It beats ``json.dumps``
-    where that runs its pure-Python encoder for an indent, up to 3.12;
-    from 3.13 the C encoder takes the indent and ``json.dumps`` is about
-    twice as fast."""
+    holds: lists and dicts of leaves written by ``_JSON_LEAF``, a
+    biquaternion's ``json_form`` with its zeros' signs among them, ASCII
+    escapes by ``encode_basestring_ascii`` and keys in the dict's order.
+    TypeError for any other value, a subclass included, and for any key
+    but a str (json writes both).  Circular references are not looked
+    for.  It beats ``json.dumps`` where that runs its pure-Python encoder
+    for an indent, up to 3.12; from 3.13 the C encoder takes the indent
+    and ``json.dumps`` is about twice as fast."""
     out = []
     emit = out.append
 
     def value(o, indent):
         # indent is a newline and two spaces per enclosing container.
-        if isinstance(o, str):
-            emit(_encode_str(o))
-        elif o is None:
-            emit("null")
-        elif o is True:
-            emit("true")
-        elif o is False:
-            emit("false")
-        elif isinstance(o, int):
-            emit(int.__repr__(o))
-        elif isinstance(o, float):
-            emit(_json_float(o))
-        elif isinstance(o, list):
+        kind = type(o)
+        leaf = _JSON_LEAF.get(kind)
+        if leaf is not None:
+            emit(leaf(o))
+        elif kind is list:
             if not o:
                 emit("[]")
                 return
@@ -310,7 +297,7 @@ def _json_text(obj) -> str:
                 value(item, inner)
                 sep = "," + inner
             emit(indent + "]")
-        elif isinstance(o, dict):
+        elif kind is dict:
             if not o:
                 emit("{}")
                 return
@@ -324,7 +311,7 @@ def _json_text(obj) -> str:
                 sep = "," + inner
             emit(indent + "}")
         else:
-            raise TypeError(f"Object of type {o.__class__.__name__} "
+            raise TypeError(f"Object of type {kind.__name__} "
                             f"is not JSON serializable")
 
     value(obj, "\n")
@@ -695,7 +682,8 @@ def main(argv=None) -> int:
         try:  # what stdout holds would fail the final flush again
             sys.stdout.flush()
         except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
 
 

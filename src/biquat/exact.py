@@ -97,12 +97,8 @@ class ExactScalar(NamedTuple):
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        (a, b), (c, d) = _ratio(self.re), _ratio(self.im)
+        return _complex_text(a * d, c * b, b * d)
 
 
 def _hamilton_table():

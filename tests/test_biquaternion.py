@@ -94,6 +94,14 @@ def test_addition_refuses_other_operands(expr):
         eval(expr, {"q": Quat(1, 0, 0, 0), "b": BiQuat(1, 0, 0, 0)})
 
 
+@pytest.mark.parametrize("expr", [
+    'q * "a"', 'b * "a"', "q * b", "b * q", "q - 1", "q - b", "b - q",
+])
+def test_products_and_differences_refuse_other_operands(expr):
+    with pytest.raises(TypeError):
+        eval(expr, {"q": Quat(1, 0, 0, 0), "b": BiQuat(1, 0, 0, 0)})
+
+
 # --- conjugations ------------------------------------------------------
 
 def test_conjugation_values():

@@ -6,6 +6,7 @@ capsys so the tests behave the same under pytest's -s mode.
 
 import cmath
 import csv
+import enum
 import functools
 import io
 import json
@@ -21,11 +22,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biquat import cli
-from biquat.biquaternion import BiQuat, from_quat, real_part
+from biquat.biquaternion import BiQuat, from_quat, json_form, real_part
 from biquat.cli import (ParseError, format_biquat, format_complex, main,
                         parse_biquat, parse_quat)
 from biquat.entanglement import entangle
@@ -532,6 +533,7 @@ def test_format_biquat_styles():
     assert format_biquat(q) == "1, -0.5i, 0, 0.25+0.25i"
     assert json.loads(format_biquat(q, "json")) == {
         "re": [1, 0, 0, 0.25], "im": [0, -0.5, 0, 0.25]}
+    assert format_biquat(q, "json") == json.dumps(json_form(q))
     uni = format_biquat(q, "unicode")
     assert "î" in uni and "ĵ" in uni
     with pytest.raises(ValueError, match="unknown style"):
@@ -540,7 +542,7 @@ def test_format_biquat_styles():
 
 def test_format_identity_json_example():
     assert format_biquat(BiQuat(1, 0, 0, 0), "json") == (
-        '{"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}')
+        '{"re": [1.0, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0]}')
 
 
 @pytest.mark.parametrize("style", ["plain", "json", "unicode"])
@@ -556,15 +558,21 @@ def test_format_biquat_refuses_a_non_finite_part(q, part, style):
         format_biquat(q, style)
 
 
-def test_plain_and_json_share_the_integral_number_rule():
+def test_only_the_plain_style_writes_integral_floats_as_ints():
+    # An integral float below 1e16, a zero of either sign included, is an
+    # int in the plain style; the JSON style is json_form's floats.
     for q in (BiQuat(0.0, -0.0, 2.0, -3.0),
               BiQuat(0.5, 1e15, 9999999999999998.0, 1e16),
               BiQuat(-1e16, 5e-324, 1.7976931348623157e308, 0.0)):
         plain = format_biquat(q).split(", ")
-        assert plain == [json.dumps(x)
-                         for x in json.loads(format_biquat(q, "json"))["re"]]
-    assert format_biquat(BiQuat(1e15, -0.0, 1e16, 0.5)) == (
-        "1000000000000000, 0, 1e+16, 0.5")
+        assert plain == [repr(int(x) if x.is_integer() and abs(x) < 1e16
+                              else x) for x in json_form(q)["re"]]
+        assert format_biquat(q, "json") == json.dumps(json_form(q))
+    q = BiQuat(1e15, -0.0, 1e16, 0.5)
+    assert format_biquat(q) == "1000000000000000, 0, 1e+16, 0.5"
+    assert format_biquat(q, "json") == (
+        '{"re": [1000000000000000.0, -0.0, 1e+16, 0.5], '
+        '"im": [0.0, 0.0, 0.0, 0.0]}')
 
 
 def test_golden_plain_rendering():
@@ -579,14 +587,18 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @given(st.lists(st.builds(complex, _finite, _finite), min_size=4,
                 max_size=4),
        st.sampled_from(["plain", "json"]))
+@example([complex(-0.0, -0.0), -0.5j, complex(0.0, -0.0), 0j], "json")
+@example([complex(-0.0, -0.0), -0.5j, complex(0.0, -0.0), 0j], "plain")
 def test_parse_format_roundtrip_keeps_every_bit_but_the_zero_sign(parts,
                                                                    style):
-    # Both styles print a zero as "0", so -0.0 comes back as 0.0 (lossy by
-    # design, stated in the README); every other part, subnormals and
-    # the float extremes included, comes back bit for bit.
+    # The plain style prints a zero as "0", so -0.0 comes back as 0.0
+    # (lossy by design, stated in the README); the JSON style keeps its
+    # sign.  Every other part, subnormals and the float extremes
+    # included, comes back bit for bit in both.
     q = BiQuat(*parts)
     back = parse_biquat(format_biquat(q, style))
-    want = [x if x else 0.0 for c in q for x in (c.real, c.imag)]
+    want = [x if x or style == "json" else 0.0
+            for c in q for x in (c.real, c.imag)]
     got = [x for c in back for x in (c.real, c.imag)]
     assert [x.hex() for x in got] == [x.hex() for x in want]
 
@@ -646,14 +658,25 @@ def test_json_writer_keys_and_top_level_values(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2)
 
 
+class _Text(str):
+    pass
+
+
+# Values json writes but no report holds: the writer refuses them.
+_JSON_ONLY = [{"level": enum.IntEnum("Level", "LOW")(1)}, [_Text("x")]]
+
+
 @pytest.mark.parametrize("obj", [
     object(), {"a": 1j}, [1, {2, 3}], {(1, 2): 0}, {"a": [b"x"]},
+    *_JSON_ONLY,
 ])
 def test_json_writer_raises_type_error_where_json_does(obj):
-    with pytest.raises(TypeError) as want:
-        json.dumps(obj, indent=2)
     with pytest.raises(TypeError) as got:
         cli._json_text(obj)
+    if obj in _JSON_ONLY:
+        return
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
     # A key that is not a str is refused by the string encoder, in its
     # own words; every other refusal is json's, word for word.
     if obj != {(1, 2): 0}:
@@ -1136,6 +1159,25 @@ def test_output_into_a_closed_pipe_is_one_error_line(argv):
             os.close(write_end)
         assert (done.returncode, done.stderr) == (
             1, "biquat: [Errno 32] Broken pipe\n"), unbuffered
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts the entries of /proc/self/fd")
+def test_a_failed_flush_leaks_no_descriptor(monkeypatch):
+    # After a failed flush, main points stdout at the null device, so
+    # that the final flush cannot fail again; the descriptor it opens for
+    # that is closed, so main can run again and again in one process.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    err = io.StringIO()
+    with open(write_end, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        before = len(os.listdir("/proc/self/fd"))
+        with redirect_stderr(err):
+            code = main(["polar", "1, 2, 3, 4"])
+        after = len(os.listdir("/proc/self/fd"))
+    assert (code, err.getvalue()) == (1, "biquat: [Errno 32] Broken pipe\n")
+    assert after == before
 
 
 # A standard stream that is closed when Python starts is None in sys:

@@ -1,8 +1,10 @@
 """The rational oracle: structure table, exact ops, agreement with floats."""
 
 import ast
+import copy
 import inspect
 import math
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -46,6 +48,15 @@ def test_structure_spot_values():
 
 def test_basis_associativity():
     assert check_basis_associativity()
+
+
+def test_basis_associativity_fails_on_a_flipped_sign(monkeypatch):
+    # i^ j^ = -k^ gives (i^ j^) j^ = i^ but i^ (j^ j^) = -i^.
+    table = [list(row) for row in STRUCTURE]
+    sign, index = table[1][2]
+    table[1][2] = (-sign, index)
+    monkeypatch.setattr(exact, "STRUCTURE", tuple(map(tuple, table)))
+    assert check_basis_associativity() is False
 
 
 # --- exact scalar ----------------------------------------------------------
@@ -124,6 +135,32 @@ def test_equal_values_are_equal_and_hash_equal():
     assert len({x, *ways, zero}) == 2
     with pytest.raises(AttributeError):
         x.den = 1
+
+
+def test_exact_biquat_pickles_and_copies_to_an_equal_value():
+    x = _exact(Fraction(1, 2), -3, 0, Fraction(7, 9), 0, 1, Fraction(-2, 5), 4)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(y) is ExactBiQuat
+        assert (y.nums, y.den) == (x.nums, x.den)
+        assert y == x and hash(y) == hash(x)
+    assert repr(x) == f"ExactBiQuat(coords={x.coords!r})"
+    assert "Fraction(7, 9), Fraction(0, 1), Fraction(1, 1)" in repr(x)
+    with pytest.raises(AttributeError, match="immutable"):
+        del x.nums
+
+
+@pytest.mark.parametrize("expr", [
+    "x + 1", "x - 1", "1 + x", "1 - x", "x + (1, 2)", "x - 0.5",
+])
+def test_exact_biquat_refuses_other_operands(expr):
+    with pytest.raises(TypeError):
+        eval(expr, {"x": _exact(1, 2, 3, 4, 5, 6, 7, 8)})
+
+
+def test_exact_biquat_equals_no_other_type():
+    x = _exact(1, 0, 0, 0, 0, 0, 0, 0)
+    assert (x == 1) is False and (x != 1) is True
+    assert (x == x.coords) is False
 
 
 # Zeros, small and large integers, and fractions with large numerators
