@@ -11,10 +11,12 @@ The package is organized as one module per layer:
     cli             the ``biquat`` command
 
 ``import biquat`` loads the float route only: the first four layers.
-``exact`` and ``verify``, with ``fractions``, ``random`` and ``ast``
-behind them, load on first use: the first access to one of their names
-here (``biquat.oracle_mul``, ``biquat.verify``), or an explicit
-``import biquat.exact``.  The command line imports ``verify`` only in
+``exact`` and ``verify``, with ``fractions`` behind them, load on first
+use: the first access to one of their names here (``biquat.oracle_mul``,
+``biquat.verify``), or an explicit ``import biquat.exact``.  ``verify``
+reads its closed forms from the compiler's own syntax tree, so ``ast``
+loads only to word a rejected form, and ``random`` only when
+``verify_theorem`` draws.  The command line imports ``verify`` only in
 its two ``verify-*`` handlers, so every other command runs without the
 exact route.
 

@@ -1,6 +1,8 @@
-"""The one compile site of the straight-line code the package generates."""
+"""The one compile site: the straight-line code the package generates,
+and the syntax trees of the closed-form texts the verifier reads."""
 
 import sys
+from _ast import PyCF_ONLY_AST
 
 _SOURCES = {}
 
@@ -23,3 +25,9 @@ def function(module: str, name: str, lines, **names):
     namespace = {"__name__": module, **names}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
+
+
+def parse(text: str, filename: str):
+    """The syntax tree of the expression ``text``, as ``ast.parse`` in
+    ``"eval"`` mode gives it, without loading ``ast``."""
+    return compile(text, filename, "eval", PyCF_ONLY_AST, dont_inherit=True)

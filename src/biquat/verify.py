@@ -25,8 +25,12 @@ implicitly assume a_i^2 + a_j^2 = 1; the evaluated forms restore that
 factor so each identity is polynomial and holds off the unit circle too.
 
 Closed-form texts are never passed to ``eval``.  On first use each text
-is parsed once, with ``^`` read as ``**``, expanded into monomials and
-compiled to one straight-line function of Python ints: the six real
+is parsed once, with ``^`` read as ``**``, into the compiler's own syntax
+tree (``_codegen.parse``), whose node classes are those of the built-in
+``_ast`` that ``ast`` re-exports: ``ast`` itself loads only to word the
+message that rejects an unsupported operator or node.  The tree is
+expanded into monomials and compiled to one straight-line function of
+Python ints: the six real
 inputs go over one common denominator, each numerator is one sum of
 monomials and the result is reduced once.  The accepted grammar
 is a 4-tuple of int literals, the names ``alpha``, ``beta``, ``a{i}``
@@ -43,10 +47,9 @@ in parallel and merge by case id without changing the report.
 
 from __future__ import annotations
 
-import ast
+import _ast
 import functools
 import math
-import random
 from typing import NamedTuple
 
 from . import _codegen
@@ -97,28 +100,39 @@ def _times(x: dict, y: dict) -> dict:
 
 def _expand(e, leaves: dict) -> dict:
     """The expansion of one sub-expression; raises on any other syntax."""
-    if type(e) is ast.Constant and type(e.value) is int:
+    if type(e) is _ast.Constant and type(e.value) is int:
         return {((0,) * 6, 0): e.value} if e.value else {}
-    if type(e) is ast.Name:
+    if type(e) is _ast.Name:
         return leaves[e.id]
-    if type(e) is ast.UnaryOp and type(e.op) is ast.USub:
+    if type(e) is _ast.UnaryOp and type(e.op) is _ast.USub:
         return _plus({}, _expand(e.operand, leaves), -1)
-    if type(e) is ast.BinOp:
+    if type(e) is _ast.BinOp:
         op = type(e.op)
-        if op is ast.Pow:
+        if op is _ast.Pow:
             n = e.right
-            if not (type(n) is ast.Constant and type(n.value) is int):
+            if not (type(n) is _ast.Constant and type(n.value) is int):
                 raise ValueError("closed form: an exponent must be a "
                                  "non-negative int literal")
             x = _expand(e.left, leaves)
             return functools.reduce(_times, [x] * n.value, {((0,) * 6, 0): 1})
-        if op in (ast.Add, ast.Sub, ast.Mult):
+        if op in (_ast.Add, _ast.Sub, _ast.Mult):
             x, y = _expand(e.left, leaves), _expand(e.right, leaves)
-            return (_times(x, y) if op is ast.Mult
-                    else _plus(x, y, 1 if op is ast.Add else -1))
-        raise ValueError(f"closed form: unsupported operator "
-                         f"{ast.unparse(e)!r}")
-    raise ValueError(f"closed form: unsupported syntax {ast.unparse(e)!r}")
+            return (_times(x, y) if op is _ast.Mult
+                    else _plus(x, y, 1 if op is _ast.Add else -1))
+    import ast
+    what = "operator" if type(e) is _ast.BinOp else "syntax"
+    raise ValueError(f"closed form: unsupported {what} {ast.unparse(e)!r}")
+
+
+def _walk(tree) -> list:
+    """Every node of ``tree``, in the breadth-first order of ``ast.walk``."""
+    nodes = [tree]
+    for node in nodes:
+        for field in node._fields:
+            value = getattr(node, field, None)
+            nodes += [v for v in (value if type(value) is list else [value])
+                      if isinstance(v, _ast.AST)]
+    return nodes
 
 
 def _expansion(form: str, i: int, j: int) -> list[dict]:
@@ -126,16 +140,16 @@ def _expansion(form: str, i: int, j: int) -> list[dict]:
     monomials: a dict from (exponents of x0 .. x5, part) to a nonzero int
     coefficient.  Part 0 is real and part 1 imaginary; x0 .. x5 are
     alpha.re, alpha.im, beta.re, beta.im, a{i} and a{j}."""
-    tree = ast.parse(form.replace("^", "**"), "<closed form>", mode="eval")
+    tree = _codegen.parse(form.replace("^", "**"), "<closed form>")
     x = [tuple(int(n == m) for n in range(6)) for m in range(6)]
     leaves = {"alpha": {(x[0], 0): 1, (x[1], 1): 1},
               "beta": {(x[2], 0): 1, (x[3], 1): 1},
               f"a{i}": {(x[4], 0): 1}, f"a{j}": {(x[5], 0): 1}}
-    for e in ast.walk(tree):
-        if type(e) is ast.Name and e.id not in leaves:
+    for e in _walk(tree):
+        if type(e) is _ast.Name and e.id not in leaves:
             raise NameError(f"name {e.id!r} is not defined")
     body = tree.body
-    if type(body) is not ast.Tuple or len(body.elts) != 4:
+    if type(body) is not _ast.Tuple or len(body.elts) != 4:
         raise ValueError("closed form: expected a tuple of 4 entries")
     return [_expand(e, leaves) for e in body.elts]
 
@@ -385,6 +399,7 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
         raise TypeError(f"samples and seed must be int: {samples!r}, {seed!r}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    import random
     points = _identity_points()
     results = []
     for case in ENTANGLE_CASES:

@@ -82,6 +82,30 @@ TABLE = (
            '"(alpha*(a1^2-a3^2), beta*(a1^2+a3^2), -2*alpha*a1*a3, 0)",',
            ("tests/test_verify.py::test_verify_theorem_passes",),
            "verdict"),
+    # Both closed-form mutants fail the degree check; the second is zero
+    # at all 12 identity points, so nothing else in the report sees it.
+    Mutant("case-5-closed-form-a1-cubed", "src/biquat/verify.py",
+           '"(alpha*(a1^2-a2^2), 2*alpha*a1*a2, beta*(a1^2+a2^2), 0)",',
+           '"(alpha*(a1^3-a2^2), 2*alpha*a1*a2, beta*(a1^2+a2^2), 0)",',
+           ("tests/test_verify.py::test_verify_theorem_passes",),
+           "verdict"),
+    Mutant("case-1-term-zero-at-12-points", "src/biquat/verify.py",
+           '"(alpha*(a1^2-a3^2), beta*(a1^2+a3^2), 2*alpha*a1*a3, 0)",',
+           '"(alpha*(a1^2-a3^2) + alpha*beta*a1, beta*(a1^2+a3^2), '
+           '2*alpha*a1*a3, 0)",',
+           ("tests/test_verify.py::test_verify_theorem_passes",),
+           "verdict"),
+    Mutant("walk-skips-list-fields", "src/biquat/verify.py",
+           "(value if type(value) is list else [value])", "[value]",
+           ("tests/test_verify.py"
+            "::test_closed_form_may_name_only_its_own_symbols",),
+           "verdict"),
+    Mutant("verify-imports-ast-at-the-top", "src/biquat/verify.py",
+           "import _ast\nimport functools\n",
+           "import _ast\nimport ast\nimport functools\n",
+           ("tests/test_package.py"
+            "::test_verifier_loads_no_ast_and_random_only_for_the_law",),
+           "verdict"),
     # The verifier's law tolerance, 1e-10, is far above this fault, so
     # verify-theorem still reports PASS.
     Mutant("concurrence-kernel-scaled-by-1e-14", "src/biquat/entanglement.py",

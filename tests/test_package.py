@@ -91,6 +91,28 @@ def test_exact_import_loads_no_verifier():
                          ) == ["biquat.exact"]
 
 
+def test_verifier_loads_no_ast_and_random_only_for_the_law():
+    # The closed forms are read from the compiler's own tree: ast loads
+    # only to word a rejected text, random only for the law's draws.
+    assert _fresh(
+        "import json, sys\n"
+        "got = []\n"
+        "def loaded():\n"
+        "    got.append([n in sys.modules for n in ('ast', 'random')])\n"
+        "import biquat.verify as v\n"
+        "loaded()\n"
+        "v.verify_examples()\n"
+        "loaded()\n"
+        "from biquat.exact import ExactScalar\n"
+        "v.closed_form_product(1, ExactScalar.of(1), ExactScalar.of(0, 1),\n"
+        "                      (1, 2))\n"
+        "loaded()\n"
+        "v.verify_theorem(1, 7)\n"
+        "loaded()\n"
+        "print(json.dumps(got))"
+        ) == [[False, False]] * 3 + [[False, True]]
+
+
 def test_lazy_submodules_are_attributes_of_a_fresh_package():
     assert _fresh("import json, types, biquat\n"
                   "print(json.dumps({m: isinstance(getattr(biquat, m), "

@@ -1,5 +1,6 @@
 """The eight-case report and the golden example audit."""
 
+import _ast
 import ast
 import hashlib
 import io
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biquat import cli, exact, verify
+from biquat import _codegen, cli, exact, verify
 from biquat.entanglement import (StateAmp, Variant, check_restrictions,
                                  embed_state, place_pair)
 from biquat.exact import ExactBiQuat, ExactScalar, oracle_mul
@@ -96,14 +97,22 @@ def test_closed_form_invalid_case():
                                 (1, 0))
 
 
-@pytest.mark.parametrize("text", [
-    "(alpha, beta, a2, 0)",          # a2 is not a symbol of case 1
-    "(abs(alpha), beta, a1, a3)",    # no builtins
-])
-def test_closed_form_may_name_only_its_own_symbols(text):
+_UNKNOWN_NAMES = {
+    "(alpha, beta, a2, 0)": "a2",          # a2 is not a symbol of case 1
+    "(abs(alpha), beta, a1, a3)": "abs",   # no builtins
+    # Two unknown names: the scan is breadth-first, so the entry's own
+    # name is found before the deeper one of the entry before it.
+    "(alpha, (gamma + 1), delta, 0)": "delta",
+}
+
+
+@pytest.mark.parametrize("text, name", _UNKNOWN_NAMES.items(),
+                         ids=list(_UNKNOWN_NAMES))
+def test_closed_form_may_name_only_its_own_symbols(text, name):
     case = ENTANGLE_CASES[0]._replace(closed_form=text)
-    with pytest.raises(NameError):
+    with pytest.raises(NameError) as caught:
         case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+    assert str(caught.value) == f"name {name!r} is not defined"
 
 
 class _Lift(ast.NodeTransformer):
@@ -162,23 +171,64 @@ def test_compiled_form_equals_the_reference_eval(case_text, r):
                                   r[4], r[5])
 
 
-@pytest.mark.parametrize("case_id, text", [
-    (1, "(alpha.re, beta, a1, a3)"),     # attribute
-    (1, "(alpha(beta), beta, a1, a3)"),  # call
-    (1, "(alpha/2, beta, a1, a3)"),      # true division
-    (1, "(0.5, beta, a1, a3)"),          # float literal
-    (1, "(a1^a3, beta, a1, a3)"),        # exponent that is not a literal
-    (1, "(a1^-2, beta, a1, a3)"),        # negative exponent
-    (1, "(+alpha, beta, a1, a3)"),       # unary plus
-    (1, "(True, beta, a1, a3)"),         # bool literal
-    (1, "(alpha, beta, a1)"),            # three entries
-    (1, "[alpha, beta, a1, a3]"),        # a list
-    (2, ENTANGLE_CASES[1].stated_form),  # the five-entry misprint
-])
-def test_closed_form_rejects_unsupported_syntax(case_id, text):
+_EXPONENT = "an exponent must be a non-negative int literal"
+_SHAPE = "expected a tuple of 4 entries"
+_UNSUPPORTED = [
+    (1, "(alpha.re, beta, a1, a3)", "unsupported syntax 'alpha.re'"),
+    (1, "(alpha(beta), beta, a1, a3)", "unsupported syntax 'alpha(beta)'"),
+    (1, "(alpha/2, beta, a1, a3)", "unsupported operator 'alpha / 2'"),
+    (1, "(0.5, beta, a1, a3)", "unsupported syntax '0.5'"),
+    (1, "(a1^a3, beta, a1, a3)", _EXPONENT),  # not a literal
+    (1, "(a1^-2, beta, a1, a3)", _EXPONENT),  # negative
+    (1, "(+alpha, beta, a1, a3)", "unsupported syntax '+alpha'"),
+    (1, "(True, beta, a1, a3)", "unsupported syntax 'True'"),  # a bool
+    (1, "(alpha, beta, a1)", _SHAPE),  # three entries
+    (1, "[alpha, beta, a1, a3]", _SHAPE),  # a list
+    (2, ENTANGLE_CASES[1].stated_form, _SHAPE),  # the five-entry misprint
+]
+
+
+@pytest.mark.parametrize("case_id, text, message", _UNSUPPORTED,
+                         ids=[f"{c}-{t}" for c, t, _ in _UNSUPPORTED])
+def test_closed_form_rejects_unsupported_syntax(case_id, text, message):
     case = ENTANGLE_CASES[case_id - 1]._replace(closed_form=text)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         case.evaluate(ExactScalar.of(1), ExactScalar.of(0), (1, 0))
+    assert str(caught.value) == f"closed form: {message}"
+
+
+@pytest.mark.parametrize("text", dict.fromkeys([
+    *(case.closed_form for case in ENTANGLE_CASES),
+    *(case.stated_form for case in ENTANGLE_CASES if case.stated_form),
+    *(text for _, text, _ in _UNSUPPORTED), *_UNKNOWN_NAMES,
+    "(alpha, beta, a1 a3, 0)"]))
+def test_closed_form_tree_and_walk_are_asts(text):
+    # The verifier reads each text without ast: the tree _codegen.parse
+    # gives, and the order _walk visits it in, are ast's own.
+    text = text.replace("^", "**")
+    try:
+        want = ast.parse(text, "<closed form>", mode="eval")
+    except SyntaxError as error:
+        with pytest.raises(SyntaxError) as caught:
+            _codegen.parse(text, "<closed form>")
+        assert caught.value.args == error.args
+        return
+    tree = _codegen.parse(text, "<closed form>")
+    assert (ast.dump(tree, include_attributes=True)
+            == ast.dump(want, include_attributes=True))
+    assert list(map(id, verify._walk(tree))) == list(map(id, ast.walk(tree)))
+
+
+def test_the_verifiers_node_classes_are_asts():
+    # ast re-exports _ast's classes; the ones the verifier matches must be
+    # those very classes, or no node would match them.
+    used = {name for f in (verify._expand, verify._expansion, verify._walk)
+            for name in _code_names(f.__code__)
+            if isinstance(getattr(_ast, name, None), type)}
+    assert used == {"AST", "Add", "BinOp", "Constant", "Mult", "Name", "Pow",
+                    "Sub", "Tuple", "USub", "UnaryOp"}
+    for name in used:
+        assert getattr(_ast, name) is getattr(ast, name), name
 
 
 @pytest.mark.parametrize("a", [
