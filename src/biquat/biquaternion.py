@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .quaternion import (_MAX_FLOAT, _MIN_NORMAL, DEFAULT_TOL, Quat, _new,
                          hamilton)
@@ -45,13 +45,10 @@ __all__ = [
 CONJUGATION_KINDS = ("complex", "quaternion", "hermitian")
 
 
-class BiQuat(NamedTuple):
+class BiQuat(namedtuple("BiQuat", "c1 c2 c3 c4")):
     """Element c1 + c2 i^ + c3 j^ + c4 k^ with complex ck."""
 
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
+    __slots__ = ()
 
     __add__, __radd__ = Quat.__add__, Quat.__radd__
     __sub__, __neg__ = Quat.__sub__, Quat.__neg__
@@ -67,17 +64,16 @@ class BiQuat(NamedTuple):
     __rmul__ = __mul__
 
 
-class PolarFormC(NamedTuple):
+class PolarFormC(namedtuple("PolarFormC", "magnitude axis angle degenerate",
+                            defaults=(False,))):
     """magnitude * (cos(angle) + axis * sin(angle)) with complex angle.
 
-    ``axis`` is a pure biquaternion with axis*axis = -1.  ``degenerate``
-    marks inputs with vanishing vector part, whose axis defaults to k^.
+    ``magnitude`` is complex and ``axis`` is a pure BiQuat with
+    axis*axis = -1.  The bool ``degenerate`` (default False) marks inputs
+    with vanishing vector part, whose axis defaults to k^.
     """
 
-    magnitude: complex
-    axis: "BiQuat"
-    angle: complex
-    degenerate: bool = False
+    __slots__ = ()
 
 
 def from_quat(q: Quat) -> BiQuat:

@@ -23,8 +23,8 @@ checked map end to end and refuses (carrying the report) when one fails.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from . import _codegen
 from .biquaternion import BiQuat, bmul, json_form, norm_h
@@ -61,22 +61,26 @@ class Variant(Enum):
         return self._value_
 
 
-class StateAmp(NamedTuple):
-    """Amplitudes of a product state and where to embed them."""
+class StateAmp(namedtuple("StateAmp", "alpha beta variant")):
+    """Amplitudes of a product state and where to embed them: the complex
+    ``alpha`` and ``beta`` and the ``Variant`` that places them."""
 
-    alpha: complex
-    beta: complex
-    variant: Variant
+    __slots__ = ()
 
 
-class RestrictionReport(NamedTuple):
-    r1_pass: bool
-    r2_pass: bool
-    r3_pass: bool
-    p_support: frozenset[int]
-    q_support: frozenset[int]
-    concurrence_p: float
-    detail: str
+class RestrictionReport(namedtuple("RestrictionReport", (
+        "r1_pass", "r2_pass", "r3_pass", "p_support", "q_support",
+        "concurrence_p", "detail"))):
+    """The gate's verdict on a rotor p and a state q.
+
+    ``r1_pass``, ``r2_pass`` and ``r3_pass`` are the bools of R1-R3.
+    ``p_support`` and ``q_support`` are frozensets of the 1-based
+    directions whose coefficients exceed DEFAULT_TOL.  ``concurrence_p``
+    is the rotor's concurrence, a float, and ``detail`` the str "ok", the
+    degenerate note or the failed restrictions' notes.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -95,11 +99,13 @@ class RestrictionReport(NamedTuple):
         }
 
 
-class EntangleOutcome(NamedTuple):
-    result: BiQuat
-    concurrence_before: float
-    concurrence_after: float
-    report: RestrictionReport
+class EntangleOutcome(namedtuple("EntangleOutcome", (
+        "result", "concurrence_before", "concurrence_after", "report"))):
+    """What ``entangle`` returns: the BiQuat ``result`` p q p, the float
+    concurrences of q (``concurrence_before``) and of the result
+    (``concurrence_after``), and the gate's RestrictionReport ``report``."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -454,11 +460,13 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     """Checked entangling map, gated at DEFAULT_TOL.
 
     p and q are checked once, by the gate pass behind
-    ``check_restrictions``, with the same verdicts and report; the map
-    and both concurrences then run unchecked.  Raises RestrictionError (report
+    ``check_restrictions``, with the same verdicts; the map and both
+    concurrences then run unchecked.  Raises RestrictionError (report
     attached) when p fails R1-R3.  A state with a vanishing amplitude is
-    not rejected - the map is still well defined - but the outcome's
-    report notes the degeneracy since no entanglement can result.
+    not rejected - the map is still well defined - but where
+    ``check_restrictions`` reports "ok", the outcome's report notes the
+    degeneracy, since no entanglement can result; it is otherwise the
+    same report.
 
     A state the law covers goes to the product kernel of its mask pair
     (``_kernel``), which runs 12 of the 32 products when every part off

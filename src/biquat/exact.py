@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import _codegen
 
@@ -47,11 +47,11 @@ __all__ = [
 _Rational = (int, Fraction)
 
 
-class ExactScalar(NamedTuple):
-    """Complex number with exact rational real and imaginary parts."""
+class ExactScalar(namedtuple("ExactScalar", "re im")):
+    """Complex number with exact rational real and imaginary parts, the
+    Fractions ``re`` and ``im``."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ()
 
     @classmethod
     def of(cls, re, im=0) -> "ExactScalar":

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "DEFAULT_TOL",
@@ -40,8 +40,9 @@ DEFAULT_TOL = 1e-9
 _MIN_NORMAL = sys.float_info.min
 _MAX_FLOAT = sys.float_info.max
 
-# tuple.__new__(cls, values) builds a NamedTuple value, as its constructor
-# does, without the constructor's Python frame.
+# tuple.__new__(cls, values) builds a value of any of the package's
+# namedtuple classes, as its constructor does, without the constructor's
+# Python frame.
 _new = tuple.__new__
 
 
@@ -51,13 +52,10 @@ def require_unit_norm(n: complex, message: str) -> None:
         raise ValueError(message)
 
 
-class Quat(NamedTuple):
-    """Quaternion c1 + c2 i^ + c3 j^ + c4 k^."""
+class Quat(namedtuple("Quat", "c1 c2 c3 c4")):
+    """Quaternion c1 + c2 i^ + c3 j^ + c4 k^ with float ck."""
 
-    c1: float
-    c2: float
-    c3: float
-    c4: float
+    __slots__ = ()
 
     # +, - and unary - act on any two values of one class, and __radd__
     # refuses any other left operand, so biquaternion.BiQuat reuses all four.
@@ -95,17 +93,17 @@ class Quat(NamedTuple):
     __rmul__ = __mul__
 
 
-class PolarForm(NamedTuple):
+class PolarForm(namedtuple("PolarForm", "magnitude axis angle degenerate",
+                           defaults=(False,))):
     """sqrt(N) * (cos(angle) + axis * sin(angle)) with angle in [0, pi].
 
-    ``degenerate`` marks pure-scalar inputs, whose axis is the
-    conventional default (0, 0, 1) and carries no information.
+    ``magnitude`` and ``angle`` are floats and ``axis`` is a 3-tuple of
+    floats.  The bool ``degenerate`` (default False) marks pure-scalar
+    inputs, whose axis is the conventional default (0, 0, 1) and carries
+    no information.
     """
 
-    magnitude: float
-    axis: tuple[float, float, float]
-    angle: float
-    degenerate: bool = False
+    __slots__ = ()
 
 
 ZERO = Quat(0.0, 0.0, 0.0, 0.0)

@@ -10,8 +10,7 @@ extend this to biquaternions (including Lorentz boosts).
 from __future__ import annotations
 
 import math
-
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import quaternion as rq
 from .biquaternion import (BiQuat, bmul, conjugate, inner_q, is_real,
@@ -30,12 +29,10 @@ __all__ = [
 ]
 
 
-class Triad(NamedTuple):
-    """Right-handed orthonormal frame of pure quaternions, qhat*vhat = what."""
+class Triad(namedtuple("Triad", "qhat vhat what")):
+    """Right-handed orthonormal frame of pure Quats, qhat*vhat = what."""
 
-    qhat: Quat
-    vhat: Quat
-    what: Quat
+    __slots__ = ()
 
 
 def _require_unit(q: Quat) -> None:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import _ast
 import functools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _codegen
 from .biquaternion import BiQuat
@@ -192,15 +192,19 @@ def _compiled(form: str, i: int, j: int):
     ], _ratio=_ratio, _lcm=math.lcm, _reduced=_reduced)
 
 
-class EntangleCase(NamedTuple):
-    """One admissible pairing and its closed-form expansion."""
+class EntangleCase(namedtuple("EntangleCase", (
+        "case_id", "variant", "p_support", "closed_form", "stated_form",
+        "note"), defaults=(None, ""))):
+    """One admissible pairing and its closed-form expansion.
 
-    case_id: int
-    variant: Variant
-    p_support: tuple[int, int]
-    closed_form: str
-    stated_form: str | None = None
-    note: str = ""
+    ``case_id`` is an int, ``variant`` the state's Variant, ``p_support``
+    the rotor's two directions as a tuple of ints and ``closed_form`` the
+    str of p q p.  ``stated_form``, a str or None (the default), is the
+    reference form where it disagrees, and ``note`` the str (default "")
+    that says how.
+    """
+
+    __slots__ = ()
 
     @property
     def predicted_c(self) -> str:
@@ -299,14 +303,20 @@ def _shape_failures(case) -> list[str]:
             if sum(ex[:4]) != 1 or sum(ex[4:]) != 2]
 
 
-class CaseResult(NamedTuple):
-    case: EntangleCase
-    identity_pass: bool
-    identity_points: int
-    identity_failures: tuple[str, ...]
-    law_pass: bool
-    law_samples: int
-    law_max_error: float
+class CaseResult(namedtuple("CaseResult", (
+        "case", "identity_pass", "identity_points", "identity_failures",
+        "law_pass", "law_samples", "law_max_error"))):
+    """One case of ``verify_theorem``.
+
+    ``case`` is the EntangleCase.  The identity half: the bool
+    ``identity_pass``, the int ``identity_points`` and
+    ``identity_failures``, a tuple of strs, one per term of the wrong
+    degree and one per point where the closed form and the oracle differ.
+    The law half: the bool ``law_pass``, the int ``law_samples`` and the
+    float ``law_max_error``.
+    """
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -337,11 +347,12 @@ class CaseResult(NamedTuple):
         }
 
 
-class TheoremReport(NamedTuple):
-    samples: int
-    seed: int
-    identity_points: int
-    cases: tuple[CaseResult, ...]
+class TheoremReport(namedtuple("TheoremReport",
+                               "samples seed identity_points cases")):
+    """What ``verify_theorem`` returns: the ints ``samples``, ``seed`` and
+    ``identity_points``, and ``cases``, a tuple of CaseResults."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -454,16 +465,19 @@ _I = ExactScalar.of(0, 1)
 _MINUS_I = ExactScalar.of(0, -1)
 
 
-class _GoldenExample(NamedTuple):
-    example_id: int
-    p_support: tuple[int, int]
-    variant: Variant
-    alpha: ExactScalar
-    beta: ExactScalar
-    stated_scaled: ExactBiQuat  # 2 L, same scaling as the recomputation
-    p_text: str
-    q_text: str
-    stated_text: str
+class _GoldenExample(namedtuple("_GoldenExample", (
+        "example_id", "p_support", "variant", "alpha", "beta",
+        "stated_scaled", "p_text", "q_text", "stated_text"))):
+    """One worked example of the reference.
+
+    ``example_id`` is an int, ``p_support`` the rotor's two directions as
+    a tuple of ints, ``variant`` the state's Variant and ``alpha`` and
+    ``beta`` its ExactScalars.  ``stated_scaled`` is the stated output as
+    an ExactBiQuat, 2 L, in the recomputation's scaling.  ``p_text``,
+    ``q_text`` and ``stated_text`` are the strs of p, q and the output.
+    """
+
+    __slots__ = ()
 
 
 GOLDEN_EXAMPLES: tuple[_GoldenExample, ...] = (
@@ -485,14 +499,19 @@ GOLDEN_EXAMPLES: tuple[_GoldenExample, ...] = (
 )
 
 
-class ExampleResult(NamedTuple):
-    example: _GoldenExample
-    computed: ExactBiQuat   # scaled by 2*sqrt(2), exact
-    exact_match: bool
-    magnitude_match: bool
-    sign_mismatch_components: tuple[int, ...]
-    concurrence_one: bool
-    note: str
+class ExampleResult(namedtuple("ExampleResult", (
+        "example", "computed", "exact_match", "magnitude_match",
+        "sign_mismatch_components", "concurrence_one", "note"))):
+    """One example of ``verify_examples``.
+
+    ``example`` is the _GoldenExample and ``computed`` the exact p q p, an
+    ExactBiQuat scaled by 2*sqrt(2).  ``exact_match``, ``magnitude_match``
+    and ``concurrence_one`` are bools, ``sign_mismatch_components`` a
+    tuple of the 1-based ints where only the signs differ and ``note`` a
+    str.
+    """
+
+    __slots__ = ()
 
     @property
     def example_id(self) -> int:
@@ -523,8 +542,11 @@ class ExampleResult(NamedTuple):
                                          or self.magnitude_match)
 
 
-class ExamplesReport(NamedTuple):
-    examples: tuple[ExampleResult, ...]
+class ExamplesReport(namedtuple("ExamplesReport", "examples")):
+    """What ``verify_examples`` returns: ``examples``, a tuple of
+    ExampleResults."""
+
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:

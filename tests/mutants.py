@@ -137,6 +137,44 @@ TABLE = (
            "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
            ("tests/test_cli.py::test_a_failed_flush_leaks_no_descriptor",),
            "verdict"),
+    # NaN > DEFAULT_TOL is false, so a NaN rotor norm would pass the gate.
+    Mutant("gate-rotor-norm-nan-blind", "src/biquat/entanglement.py",
+           "if not abs(p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4 - 1.0) "
+           "<= DEFAULT_TOL:",
+           "if abs(p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4 - 1.0) "
+           "> DEFAULT_TOL:",
+           ("tests/test_unit_guard.py"
+            "::test_nan_in_checked_argument_raises_the_guard[entangle-p]",),
+           "verdict"),
+    Mutant("trace-second-product-factors-swapped",
+           "src/biquat/entanglement.py",
+           "    return lines, bmul(r, p)", "    return lines, bmul(p, r)",
+           ("tests/test_entanglement.py"
+            "::test_sweep_kernel_is_bit_identical_to_the_full_sandwich",),
+           "verdict"),
+    Mutant("law-loop-blind-to-nan", "src/biquat/verify.py",
+           "if err > max_err or err != err:", "if err > max_err:",
+           ("tests/test_verify.py::test_a_nan_law_sample_fails_its_case[1]",),
+           "verdict"),
+    # typing.NamedTuple builds the same class, fields, slots and pickles,
+    # so only the fresh import boundary sees it.
+    Mutant("triad-back-on-typing-namedtuple", "src/biquat/rotations.py",
+           'class Triad(namedtuple("Triad", "qhat vhat what")):\n'
+           '    """Right-handed orthonormal frame of pure Quats, '
+           'qhat*vhat = what."""\n\n    __slots__ = ()\n',
+           "from typing import NamedTuple\n\n\nclass Triad(NamedTuple):\n"
+           '    """Right-handed orthonormal frame of pure Quats, '
+           'qhat*vhat = what."""\n\n'
+           "    qhat: Quat\n    vhat: Quat\n    what: Quat\n",
+           ("tests/test_package.py::test_import_loads_no_typing[biquat]",),
+           "verdict"),
+    Mutant("biquat-slots-dropped", "src/biquat/biquaternion.py",
+           '    """Element c1 + c2 i^ + c3 j^ + c4 k^ with complex ck."""'
+           "\n\n    __slots__ = ()\n",
+           '    """Element c1 + c2 i^ + c3 j^ + c4 k^ with complex ck."""\n',
+           ("tests/test_package.py"
+            "::test_named_types_keep_fields_slots_and_round_trips[BiQuat]",),
+           "verdict"),
 )
 
 # What the copy leaves out: history, caches and benchmark output.

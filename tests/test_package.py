@@ -7,8 +7,11 @@ this test process, which has long since loaded every layer, cannot hide
 a name that resolves only because some earlier import bound it.
 """
 
+import copy
+import functools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -33,9 +36,10 @@ def _fresh(code: str):
 
 
 def _loaded_after(statement: str, names) -> list:
-    return _fresh(f"import json, sys\n{statement}\n"
-                  f"print(json.dumps([n for n in {list(names)!r} "
-                  "if n in sys.modules]))")
+    # json, which loads re, is imported only once the names are read.
+    return _fresh(f"import sys\n{statement}\n"
+                  f"got = [n for n in {list(names)!r} if n in sys.modules]\n"
+                  "import json\nprint(json.dumps(got))")
 
 
 def test_cli_import_loads_only_the_float_route():
@@ -45,6 +49,15 @@ def test_cli_import_loads_only_the_float_route():
     present = ["biquat.quaternion", "biquat.biquaternion",
                "biquat.rotations", "biquat.entanglement"]
     assert _loaded_after("import biquat.cli", absent + present) == present
+
+
+@pytest.mark.parametrize("module", ["biquat", "biquat.cli", "biquat.exact",
+                                    "biquat.verify"])
+def test_import_loads_no_typing(module):
+    # The value and report types are collections.namedtuple classes, so no
+    # import loads typing, nor, for the float route, the re it would load.
+    absent = ["typing", "re"] if module == "biquat" else ["typing"]
+    assert _loaded_after(f"import {module}", absent) == []
 
 
 def test_cli_main_never_loads_argparse():
@@ -160,3 +173,76 @@ def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(biquat, name)
     assert not hasattr(biquat, name)
+
+
+# Each value and report type of the package: its module, its fields and
+# their defaults.
+NAMED_TYPES = {
+    "Quat": ("quaternion", "c1 c2 c3 c4", {}),
+    "PolarForm": ("quaternion", "magnitude axis angle degenerate",
+                  {"degenerate": False}),
+    "BiQuat": ("biquaternion", "c1 c2 c3 c4", {}),
+    "PolarFormC": ("biquaternion", "magnitude axis angle degenerate",
+                   {"degenerate": False}),
+    "Triad": ("rotations", "qhat vhat what", {}),
+    "StateAmp": ("entanglement", "alpha beta variant", {}),
+    "RestrictionReport": ("entanglement", "r1_pass r2_pass r3_pass "
+                          "p_support q_support concurrence_p detail", {}),
+    "EntangleOutcome": ("entanglement", "result concurrence_before "
+                        "concurrence_after report", {}),
+    "ExactScalar": ("exact", "re im", {}),
+    "EntangleCase": ("verify", "case_id variant p_support closed_form "
+                     "stated_form note", {"stated_form": None, "note": ""}),
+    "CaseResult": ("verify", "case identity_pass identity_points "
+                   "identity_failures law_pass law_samples law_max_error",
+                   {}),
+    "TheoremReport": ("verify", "samples seed identity_points cases", {}),
+    "_GoldenExample": ("verify", "example_id p_support variant alpha beta "
+                       "stated_scaled p_text q_text stated_text", {}),
+    "ExampleResult": ("verify", "example computed exact_match "
+                      "magnitude_match sign_mismatch_components "
+                      "concurrence_one note", {}),
+    "ExamplesReport": ("verify", "examples", {}),
+}
+
+
+@functools.cache
+def _named_values() -> dict:
+    """A value of each type in NAMED_TYPES, made by the call that makes
+    it, by type name."""
+    from biquat import verify
+    p = biquat.Quat(0.6, 0.0, 0.8, 0.0)
+    q = biquat.BiQuat(0.48 + 0.36j, 0.64 + 0.48j, 0j, 0j)
+    outcome = biquat.entangle(p, q)
+    theorem = verify.verify_theorem(1, 7)
+    examples = verify.verify_examples()
+    values = [p, biquat.polar(p), q, biquat.polar_c(q),
+              biquat.make_triad(biquat.Quat(0.0, 0.6, 0.8, 0.0)),
+              biquat.StateAmp(0.6, 0.8j, biquat.Variant.V13), outcome,
+              outcome.report, biquat.exact.ExactScalar.of(1, -2),
+              verify.ENTANGLE_CASES[1], theorem, theorem.cases[0],
+              verify.GOLDEN_EXAMPLES[0], examples, examples.examples[1]]
+    return {type(v).__name__: v for v in values}
+
+
+@pytest.mark.parametrize("name", NAMED_TYPES)
+def test_named_types_keep_fields_slots_and_round_trips(name):
+    module, fields, defaults = NAMED_TYPES[name]
+    value = _named_values()[name]
+    cls = type(value)
+    assert (cls.__module__, cls.__qualname__) == (f"biquat.{module}", name)
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+    # No instance __dict__: a new attribute is refused, as is a field.
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(value, cls._fields[0], None)
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.deepcopy(value), value._replace(),
+               value._replace(**value._asdict())]
+    for other in copies:
+        assert type(other) is cls
+        assert other == value
+        assert repr(other) == repr(value)
