@@ -2,7 +2,6 @@
 and the syntax trees of the closed-form texts the verifier reads."""
 
 import sys
-from _ast import PyCF_ONLY_AST
 
 _SOURCES = {}
 
@@ -29,5 +28,7 @@ def function(module: str, name: str, lines, **names):
 
 def parse(text: str, filename: str):
     """The syntax tree of the expression ``text``, as ``ast.parse`` in
-    ``"eval"`` mode gives it, without loading ``ast``."""
+    ``"eval"`` mode gives it, without loading ``ast``.  Only the verifier
+    parses, so ``_ast`` is imported here, not at every start-up."""
+    from _ast import PyCF_ONLY_AST
     return compile(text, filename, "eval", PyCF_ONLY_AST, dont_inherit=True)

@@ -239,22 +239,13 @@ class _Code(str):
         return _Code(f"abs({self})")
 
 
-class _RotorCode(str):
-    """A rotor part as source; it is written as the right factor."""
-
-    def __mul__(self, other):
-        if other is _ZERO:
-            return _ZERO
-        return _Code(f"({other}*{self})")
-
-
 _ZERO = _Code("0")
 
 
-def _parts(kind, prefix: str, support) -> list:
+def _parts(prefix: str, support) -> list:
     """Stand-ins for four parts named prefix1..prefix4, ``_ZERO`` off the
     1-based support."""
-    return [kind(f"{prefix}{k}") if k in support else _ZERO
+    return [_Code(f"{prefix}{k}") if k in support else _ZERO
             for k in range(1, 5)]
 
 
@@ -262,7 +253,7 @@ def _bind(prefix: str, texts) -> tuple[BiQuat, list[str]]:
     """Stand-ins named prefix1..prefix4 for four parts given as source,
     and the lines that bind them; a ``_ZERO`` part stays ``_ZERO``."""
     kept = [k for k, text in enumerate(texts, 1) if text is not _ZERO]
-    names = BiQuat(*_parts(_Code, prefix, kept))
+    names = BiQuat(*_parts(prefix, kept))
     return names, [f"    {name} = {text}" for name, text in zip(names, texts)
                    if text is not _ZERO]
 
@@ -273,17 +264,13 @@ def _trace(p_support, q_support) -> tuple[list[str], tuple]:
     the parts p1..p4 and q1..q4, and the source of the four parts of
     ``p q p``.
 
-    Running ``bmul(bmul(p, q), p)`` on parts that render source gives its
-    sums in hamilton's order and sign table.  The first product writes
-    each rotor part as the right factor, ``q_k * p_k``: a product commutes
-    and the imaginary part of a complex product adds the same two terms,
-    so the parts are those of ``p_k * q_k`` bit for bit, without first
-    trying ``float.__mul__`` on a complex.  A part off its support is
-    ``_ZERO``: the terms it is a factor of drop out.  With full supports
-    nothing drops.
+    Running ``bmul(bmul(p, q), p)`` on parts that render source gives
+    hamilton's sums as written: their order, signs and factor order.  A
+    part off its support is ``_ZERO``: the terms it is a factor of drop
+    out.  With full supports nothing drops.
     """
-    p = Quat(*_parts(_RotorCode, "p", p_support))
-    r, lines = _bind("r", bmul(p, BiQuat(*_parts(_Code, "q", q_support))))
+    p = Quat(*_parts("p", p_support))
+    r, lines = _bind("r", bmul(p, BiQuat(*_parts("q", q_support))))
     return lines, bmul(r, p)
 
 
@@ -304,12 +291,13 @@ def _kernel(masks: int, concurrence: bool = False):
       in magnitude (so a float amplitude, whose imaginary part is 0, runs
       the composition).
 
-    Each kernel gives the bits of ``bmul(bmul(p, q), p)``, whose terms
-    it keeps in order (``_trace``), as every dropped term is an exact
-    zero, a finite value times ``0.0`` or ``0j``, and adding or
-    subtracting a zero leaves a nonzero float unchanged.  So every
-    intermediate value equals the composition's up to the sign of a
-    zero, and two cases settle that sign:
+    Each kernel gives the bits of ``bmul(bmul(p, q), p)``: it runs the
+    composition's own operations, in its order and on its operands, less
+    the terms ``_trace`` drops.  Every dropped term is an exact zero, a
+    finite value times ``0.0`` or ``0j``, and adding or subtracting a
+    zero leaves a nonzero float unchanged.  So every intermediate value
+    equals the composition's up to the sign of a zero, and two cases
+    settle that sign:
 
     * a concurrence: ``abs`` erases it, whenever no product of a part of
       q with a part of p overflows, as for every unit p and q;
@@ -468,14 +456,10 @@ def entangle(p: Quat, q: BiQuat) -> EntangleOutcome:
     degeneracy, since no entanglement can result; it is otherwise the
     same report.
 
-    A state the law covers goes to the product kernel of its mask pair
-    (``_kernel``), which runs 12 of the 32 products when every part off
-    the masks is exactly zero and every real and imaginary part of q on
-    its mask is at least 2**-1000 in magnitude; otherwise, and for every
-    other state, ``bmul(bmul(p, q), p)`` runs.  Either way the result is
-    the composition's bit for bit: the dropped products are zeros, which
-    leave a nonzero sum unchanged, and the guards keep every kept product
-    nonzero and a cancelled sum +0 in both.
+    A state the law covers goes to the product kernel of its mask pair,
+    which gives the bits of ``bmul(bmul(p, q), p)`` or declines: its
+    guards, and why they suffice, are in ``_kernel``.  A declined state,
+    and every other state, runs ``bmul(bmul(p, q), p)``.
     """
     c_p, pm, qm, verdict = _gate(p, q)
     if not verdict:

@@ -72,6 +72,19 @@ TABLE = (
            ("tests/test_entanglement.py"
             "::test_law_kernel_declines_what_it_would_get_wrong",),
            "verdict"),
+    Mutant("law-kernel-q-guard-made-nonzero", "src/biquat/entanglement.py",
+           'f"not abs(q{k + 1}.{part}) >= {2.0 ** -1000!r}"',
+           'f"not abs(q{k + 1}.{part}) > 0.0"',
+           ("tests/test_entanglement.py"
+            "::test_law_kernel_declines_what_it_would_get_wrong[subnormal]",),
+           "verdict"),
+    # Only a rotor concurrence of exactly DEFAULT_TOL tells < from <=;
+    # 2 * 5e-10 is one.
+    Mutant("gate-r1-made-strict", "src/biquat/entanglement.py",
+           "if c_p <= DEFAULT_TOL else None", "if c_p < DEFAULT_TOL else None",
+           ("tests/test_entanglement.py"
+            "::test_restriction_r1_admits_a_rotor_concurrence_at_the_tol",),
+           "verdict"),
     Mutant("r3-one-shared-made-at-least-one", "src/biquat/entanglement.py",
            "(pm & qm).bit_count() == 1", "(pm & qm).bit_count() >= 1",
            ("tests/test_entanglement.py"
@@ -94,6 +107,25 @@ TABLE = (
            '"(alpha*(a1^2-a3^2) + alpha*beta*a1, beta*(a1^2+a3^2), '
            '2*alpha*a1*a3, 0)",',
            ("tests/test_verify.py::test_verify_theorem_passes",),
+           "verdict"),
+    # The degree check must fail a term wrong in one degree only; each
+    # planted form equals p q p at all 12 identity points.
+    Mutant("degree-check-or-made-and", "src/biquat/verify.py",
+           "if sum(ex[:4]) != 1 or sum(ex[4:]) != 2]",
+           "if sum(ex[:4]) != 1 and sum(ex[4:]) != 2]",
+           ("tests/test_verify.py"
+            "::test_each_mutant_fails_only_its_own_case[rotor-degree-only]",),
+           "verdict"),
+    Mutant("degree-check-or-made-and", "src/biquat/verify.py",
+           "if sum(ex[:4]) != 1 or sum(ex[4:]) != 2]",
+           "if sum(ex[:4]) != 1 and sum(ex[4:]) != 2]",
+           ("tests/test_verify.py"
+            "::test_each_mutant_fails_only_its_own_case[state-degree-only]",),
+           "verdict"),
+    Mutant("degree-line-writes-a-first-power", "src/biquat/verify.py",
+           'f"^{e}" * (e > 1)', 'f"^{e}" * (e >= 1)',
+           ("tests/test_verify.py"
+            "::test_a_degree_failure_writes_a_first_power_bare",),
            "verdict"),
     Mutant("walk-skips-list-fields", "src/biquat/verify.py",
            "(value if type(value) is list else [value])", "[value]",
@@ -122,6 +154,12 @@ TABLE = (
            *_SCALED,
            ("tests/test_entanglement.py"
             "::test_concurrence_kernel_matches_the_sandwich_in_each_case",),
+           "verdict"),
+    Mutant("comma-pass-finiteness-dropped", "src/biquat/cli.py",
+           "if len(parts) == 4 and all(map(cmath.isfinite, parts)):",
+           "if len(parts) == 4:",
+           ("tests/test_cli.py"
+            "::test_non_finite_input_is_a_parse_error[argv1]",),
            "verdict"),
     Mutant("json-bool-written-as-int", "src/biquat/cli.py",
            'bool: {True: "true", False: "false"}.__getitem__,',
@@ -152,6 +190,14 @@ TABLE = (
            ("tests/test_entanglement.py"
             "::test_sweep_kernel_is_bit_identical_to_the_full_sandwich",),
            "verdict"),
+    # The bits cannot see an operand swap: every bit-identity test passes
+    # on it, and only the trace's text, pinned to hamilton's, fails.
+    Mutant("trace-factor-order-swapped", "src/biquat/entanglement.py",
+           'return _Code(f"({self}*{other})")',
+           'return _Code(f"({other}*{self})")',
+           ("tests/test_codegen.py"
+            "::test_trace_writes_hamiltons_sums_as_written",),
+           "pin"),
     Mutant("law-loop-blind-to-nan", "src/biquat/verify.py",
            "if err > max_err or err != err:", "if err > max_err:",
            ("tests/test_verify.py::test_a_nan_law_sample_fails_its_case[1]",),

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from biquat import _codegen, entanglement, exact, verify
+from biquat import _codegen, entanglement, exact, quaternion, verify
 from biquat.exact import STRUCTURE, ExactBiQuat
 from biquat.quaternion import Quat
 from biquat.verify import ENTANGLE_CASES
@@ -111,6 +111,17 @@ def test_sweep_kernel_reads_only_the_parts_on_its_supports():
     assert not names & {"p2", "p4", "q3", "q4"}
     assert not {"p2", "p4", "q3", "q4"} & set(kernel.__code__.co_varnames)
     assert source.splitlines()[-1] == "    return (2.0*abs(((c1*c4)-(c2*c3))))"
+
+
+def test_trace_writes_hamiltons_sums_as_written():
+    # With full supports the first product drops nothing: each r line is
+    # one of hamilton's sums, with its order, signs and factor order.
+    lines, _ = entanglement._trace((1, 2, 3, 4), (1, 2, 3, 4))
+    sums = re.findall(r"^ +(p1 \* q.*),$",
+                      inspect.getsource(quaternion.hamilton), re.M)
+    assert len(sums) == 4
+    assert [re.sub(r"[() ]", "", line) for line in lines] == [
+        f"r{k}={text.replace(' ', '')}" for k, text in enumerate(sums, 1)]
 
 
 def test_law_kernels_keep_12_of_the_32_products():

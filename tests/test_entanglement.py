@@ -866,6 +866,16 @@ def test_restriction_r1_alone_rejects_an_admissible_rotor():
         assert str(e.value) == f"rotor rejected: {report.detail}"
 
 
+def test_restriction_r1_admits_a_rotor_concurrence_at_the_tol():
+    # 2 * 5e-10 is DEFAULT_TOL exactly, and R1 admits it; the rotor's
+    # support is {4}, so R2 and R3 fail.
+    report = check_restrictions(Quat(5e-10, 0, 0, 1.0),
+                                BiQuat(0.6, 0.8, 0, 0))
+    assert report.concurrence_p == DEFAULT_TOL
+    assert report[:3] == (True, False, False)
+    assert not report.detail.startswith("R1")
+
+
 def test_restriction_r3_rejects_disjoint_support():
     p = Quat(INV_SQRT2, 0, INV_SQRT2, 0)
     q = embed_state(StateAmp(I_SQRT2, I_SQRT2, Variant.V24))

@@ -60,6 +60,13 @@ def test_import_loads_no_typing(module):
     assert _loaded_after(f"import {module}", absent) == []
 
 
+@pytest.mark.parametrize("module", ["biquat", "biquat.cli"])
+def test_float_route_import_loads_no_ast(module):
+    # Only the verifier reads a syntax tree: _codegen imports _ast inside
+    # parse, which the verifier alone calls.
+    assert _loaded_after(f"import {module}", ["_ast"]) == []
+
+
 def test_cli_main_never_loads_argparse():
     # The command table's reader answers a well-formed argv, a help
     # request and a usage error alike.

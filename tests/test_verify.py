@@ -441,13 +441,18 @@ def _replay(case_dict, line):
 # its replacement, and the points that still agree and the wrong terms.
 # A flipped sign, a term of too high a degree, and a term of the wrong
 # degrees that is zero at all 12 points, so only the degree check sees it
-# (alpha*beta expands into four real terms).
+# (alpha*beta expands into four real terms).  The last two are wrong in
+# one degree only and agree at all 12 points too: a1^3 = a1^2 for a1 in
+# {0, 1}, and alpha or beta is zero at each point.
 _CASE_MUTANTS = {
     "sign-flip": (3, "(-2*alpha*", "(2*alpha*", 10, 0),
     "degree-raising": (1, "(alpha*(a1^2-a3^2)", "(alpha*(a1^2-a3^2) + a1^3",
                        4, 1),
     "zero-on-the-points": (1, "(alpha*(a1^2-a3^2)",
                            "(alpha*(a1^2-a3^2) + alpha*beta*a1", 12, 4),
+    "rotor-degree-only": (5, "(alpha*(a1^2", "(alpha*(a1^3", 12, 2),
+    "state-degree-only": (1, "(alpha*(a1^2-a3^2)",
+                          "(alpha*(a1^2-a3^2) + alpha*beta*a1*a3", 12, 4),
 }
 
 
@@ -482,6 +487,17 @@ def test_each_mutant_fails_only_its_own_case(monkeypatch, case_id, old, new,
     with redirect_stdout(out):
         assert cli.main(["verify-theorem", "--samples", "5"]) == 3
     assert "overall: 7/8 cases pass" in out.getvalue()
+
+
+def test_a_degree_failure_writes_a_first_power_bare():
+    # a1, not a1^1: a factor's exponent shows only above 1.
+    case = ENTANGLE_CASES[4]
+    mutant = case._replace(closed_form=case.closed_form.replace(
+        "(alpha*(a1^2-a2^2)", "(alpha*(a1^2-a2^2) + alpha*a1", 1))
+    assert verify._shape_failures(mutant) == [
+        f"entry 1: term 1*{part}*a1 has degree (1, 1) in "
+        "(alpha, beta; a1, a2), not (1, 2)"
+        for part in ("alpha.re", "i*alpha.im")]
 
 
 @pytest.mark.parametrize("every", [1, 2])
