@@ -38,7 +38,11 @@ too and is the faster of the two.
 quote, CR or LF, so a row is its fields joined by commas and ended by
 CRLF, the bytes ``csv.writer`` writes.  Each row's concurrence comes
 from the kernel ``entanglement`` traces from ``bmul`` for rotors on
-{1,3} and V12 states, compiled on a process's first sweep.
+{1,3} and V12 states, compiled on a process's first sweep.  Each state
+is built once, by ``entanglement._state``, the one builder that checks
+an embedded state's norm, so a row is the kernel call and one f-string.
+The N^2 rows of one (modulus, alpha phase) block go out in one write:
+the N^4 rows stream, and at most N^2 are held at once.
 """
 
 from __future__ import annotations
@@ -53,9 +57,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 
 from .biquaternion import BiQuat, from_quat, is_real, json_form, real_part
-from .entanglement import (RestrictionError, StateAmp, Variant, _kernel,
-                           _key, check_restrictions, concurrence,
-                           embed_state, entangle)
+from .entanglement import (RestrictionError, _kernel, _key, _state,
+                           check_restrictions, concurrence, entangle)
 from .quaternion import DEFAULT_TOL, Quat, _new, polar
 from .rotations import (complex_rotation, conjugate_rotation, lorentz_map,
                         rotate_biquat, rotate_onesided)
@@ -443,38 +446,48 @@ def _cmd_sweep(ns) -> int:
     half_pi = math.pi / 2.0
     mix = [half_pi * k / (n - 1) for k in range(n)] if n > 1 else [half_pi / 2]
     phase = [2.0 * math.pi * k / n for k in range(n)]
+    # Each phase's unit, built once: an amplitude is its modulus times the
+    # unit, the operands and order of ma * complex(cos(pa), sin(pa)).
+    units = [complex(math.cos(t), math.sin(t)) for t in phase]
     # Rotors on {1,3} and V12 states are unit by construction: each row
     # runs the kernel _concurrence(bmul(bmul(p, q), p)) traced for them,
     # which gives its bits (see entanglement._kernel).
-    kernel = _kernel(_key((1, 3), Variant.V12.positions), concurrence=True)
+    kernel = _kernel(_key((1, 3), (1, 2)), concurrence=True)
     rotors = [(Quat(ai, 0.0, aj, 0.0), f"{ai!r},{aj!r},")
               for ai, aj in ((math.cos(t), math.sin(t)) for t in mix)]
     threshold = 1.0 - DEFAULT_TOL
+    # A row's last field and line end, indexed by c >= threshold.
+    ends = (",0\r\n", ",1\r\n")
 
     rows = len(mix) * len(phase) ** 2 * len(rotors)
     maximal = 0
     out = sys.stdout if ns.out == "-" else open(ns.out, "w", newline="")
     try:
-        # One write per state streams the N^4 rows.
         out.write("alpha,beta,a_i,a_j,concurrence,maximal\r\n")
         for tq in mix:
             ma, mb = math.cos(tq), math.sin(tq)
-            betas = [mb * complex(math.cos(pb), math.sin(pb)) for pb in phase]
-            beta_texts = [_literal(beta) for beta in betas]
-            for pa in phase:
-                alpha = ma * complex(math.cos(pa), math.sin(pa))
+            betas = [(beta, f",{_literal(beta)},")
+                     for beta in [mb * unit for unit in units]]
+            for unit in units:
+                alpha = ma * unit
                 alpha_text = _literal(alpha)
-                for beta, beta_text in zip(betas, beta_texts):
-                    qv = embed_state(StateAmp(alpha, beta, Variant.V12))
-                    state_text = f"{alpha_text},{beta_text},"
-                    lines = []
+                # One write per (tq, pa) block of N^2 rows streams the N^4;
+                # one write per state (N rows) measured no faster.  Each
+                # state is built once, by entanglement._state, the one
+                # place its norm is checked; a row is the kernel call and
+                # one f-string.
+                lines = []
+                add = lines.append
+                for beta, beta_text in betas:
+                    q = _state(alpha, beta, (1, 2))
+                    head = alpha_text + beta_text
                     for p, rotor_text in rotors:
-                        c = kernel(p, qv)
-                        is_max = c >= threshold
-                        maximal += is_max
-                        lines.append(f"{state_text}{rotor_text}{c!r},"
-                                     f"{1 if is_max else 0}\r\n")
-                    out.write("".join(lines))
+                        c = kernel(p, q)
+                        add(f"{head}{rotor_text}{c!r}{ends[c >= threshold]}")
+                block = "".join(lines)
+                # Only a maximal row's last field is 1 before its line end.
+                maximal += block.count("1\r\n")
+                out.write(block)
     finally:
         if out is not sys.stdout:
             out.close()

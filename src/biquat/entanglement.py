@@ -193,12 +193,20 @@ def place_pair(positions: tuple[int, int], a, b, zero) -> list:
     return c
 
 
-def embed_state(state: StateAmp) -> BiQuat:
-    """Place (alpha, beta) on the variant's basis pair."""
-    q = _new(BiQuat, place_pair(state.variant.positions, complex(state.alpha),
-                                complex(state.beta), 0j))
+def _state(alpha: complex, beta: complex, positions) -> BiQuat:
+    """The state with the complex amplitudes alpha and beta at the 1-based
+    positions and 0j elsewhere.  The one builder of an embedded state,
+    and the one place its unit norm is checked: ``embed_state``, the
+    sweep and the law route of ``verify_theorem`` all build through it."""
+    q = _new(BiQuat, place_pair(positions, alpha, beta, 0j))
     require_unit_norm(norm_h(q), "state amplitudes are not normalized")
     return q
+
+
+def embed_state(state: StateAmp) -> BiQuat:
+    """Place (alpha, beta) on the variant's basis pair."""
+    positions = state.variant.positions  # a bad variant fails first
+    return _state(complex(state.alpha), complex(state.beta), positions)
 
 
 def _concurrence(q: BiQuat) -> float:

@@ -54,10 +54,10 @@ from collections import namedtuple
 
 from . import _codegen
 from .biquaternion import BiQuat
-from .entanglement import (ADMISSIBLE_P_SUPPORTS, StateAmp, Variant,
-                           _kernel, _key, embed_state, place_pair)
+from .entanglement import (ADMISSIBLE_P_SUPPORTS, Variant, _kernel, _key,
+                           _state, place_pair)
 from .exact import ExactBiQuat, ExactScalar, _ratio, _reduced, oracle_mul
-from .quaternion import Quat
+from .quaternion import Quat, _new
 
 __all__ = ["EntangleCase", "CaseResult", "TheoremReport", "ExampleResult",
            "ExamplesReport", "ENTANGLE_CASES", "GOLDEN_EXAMPLES",
@@ -424,8 +424,8 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
                     f"oracle={got} closed-form={want}")
 
         rng = random.Random(f"{seed}/{case.case_id}")
-        kernel = _kernel(_key(case.p_support, case.variant.positions),
-                         concurrence=True)
+        positions = case.variant.positions
+        kernel = _kernel(_key(case.p_support, positions), concurrence=True)
         max_err = 0.0
         for _ in range(samples):
             while True:
@@ -440,8 +440,11 @@ def verify_theorem(samples: int = 1000, seed: int = 7) -> TheoremReport:
             beta_f = complex(b1, b2) / n
             t = rng.uniform(0.0, 2.0 * math.pi)
             ai_f, aj_f = math.cos(t), math.sin(t)
-            q_f = embed_state(StateAmp(alpha_f, beta_f, case.variant))
-            p_f = Quat(*place_pair(case.p_support, ai_f, aj_f, 0.0))
+            # The state is built by entanglement._state, the one place an
+            # embedded state's norm is checked; the rotor is its placed
+            # parts, which are unit by construction.
+            q_f = _state(alpha_f, beta_f, positions)
+            p_f = _new(Quat, place_pair(case.p_support, ai_f, aj_f, 0.0))
             c = kernel(p_f, q_f)
             predicted = 4.0 * abs(alpha_f) * abs(beta_f) * abs(ai_f * aj_f)
             err = abs(c - predicted)

@@ -56,6 +56,22 @@ class Mutant(NamedTuple):
 _SCALED = ('tail.append(f"    return {_concurrence(c)}")',
            'tail.append(f"    return ({_concurrence(c)}) * (1 + 1e-14)")')
 
+# Item 17's rotation faults: between the rounding level and the 1e-10
+# tolerances of the rotation laws, only an output byte shows them.  The
+# conj fault is a few ulp, inside any worst-case bound, so its golden pin
+# may stay its only catch once item 17 lands.
+_LORENTZ = ('    return bmul(bmul(conjugate(q, "hermitian"), x), q)',
+            '    r = bmul(bmul(conjugate(q, "hermitian"), x), q)\n'
+            "    return BiQuat(r.c1 * (1 + 1e-13), *r[1:])")
+_CONJ = ("    return rq.mul(rq.mul(q, x), rq.conj(q))",
+         "    r = rq.mul(rq.mul(q, x), rq.conj(q))\n"
+         "    return Quat(r.c1, r.c2 * (1 + 2 ** -50), r.c3, r.c4)")
+# Zero minus a term drops the term instead of negating it: r4 of the sweep
+# kernel, -(p3*q2), becomes zero.
+_DROPPED = ("        if self is _ZERO:\n"
+            '            return _Code(f"(-{other})")',
+            "        if self is _ZERO:\n            return _ZERO")
+
 TABLE = (
     Mutant("hamilton-sign-flip", "src/biquat/quaternion.py",
            "p1 * q2 + p2 * q1 + p3 * q4 - p4 * q3,",
@@ -214,6 +230,51 @@ TABLE = (
            "    qhat: Quat\n    vhat: Quat\n    what: Quat\n",
            ("tests/test_package.py::test_import_loads_no_typing[biquat]",),
            "verdict"),
+    Mutant("state-norm-check-dropped", "src/biquat/entanglement.py",
+           '    require_unit_norm(norm_h(q), '
+           '"state amplitudes are not normalized")\n', "",
+           ("tests/test_entanglement.py"
+            "::test_embed_state_requires_normalization",),
+           "verdict"),
+    # Grid 1 has one phase, so only grids of 2 and more see it.
+    Mutant("sweep-alpha-from-beta-phase", "src/biquat/cli.py",
+           "alpha = ma * unit", "alpha = ma * units[-1]",
+           ("tests/test_cli.py::test_sweep_writes_the_bytes_of_csv_writer"
+            "_over_the_full_sandwich",),
+           "verdict"),
+    Mutant("trace-nonzero-term-dropped", "src/biquat/entanglement.py",
+           *_DROPPED,
+           ("tests/test_entanglement.py"
+            "::test_sweep_kernel_is_bit_identical_to_the_full_sandwich",),
+           "verdict"),
+    Mutant("trace-nonzero-term-dropped", "src/biquat/entanglement.py",
+           *_DROPPED,
+           ("tests/test_entanglement.py"
+            "::test_entangle_is_bit_identical_to_the_full_sandwich",),
+           "verdict"),
+    Mutant("lorentz-first-part-scaled-by-1e-13", "src/biquat/rotations.py",
+           *_LORENTZ,
+           ("tests/test_acceptance.py::test_criterion_7_rotation_suite",
+            "tests/test_rotations.py"
+            "::test_lorentz_preserves_quadratic_invariant"),
+           "verdict", survivor="ROADMAP item 17"),
+    Mutant("lorentz-first-part-scaled-by-1e-13", "src/biquat/rotations.py",
+           *_LORENTZ,
+           ("tests/test_golden.py"
+            "::test_output_matches_golden_file[rotate-lorentz.txt]",),
+           "pin"),
+    Mutant("conj-rotation-part-scaled-by-2**-50", "src/biquat/rotations.py",
+           *_CONJ,
+           ("tests/test_acceptance.py::test_criterion_7_rotation_suite",
+            "tests/test_rotations.py"
+            "::test_conjugate_rotation_turns_by_twice_the_angle",
+            "tests/test_rotations.py::test_conjugate_rotation_composes"),
+           "verdict", survivor="ROADMAP item 17"),
+    Mutant("conj-rotation-part-scaled-by-2**-50", "src/biquat/rotations.py",
+           *_CONJ,
+           ("tests/test_golden.py"
+            "::test_output_matches_golden_file[rotate-conj.txt]",),
+           "pin"),
     Mutant("biquat-slots-dropped", "src/biquat/biquaternion.py",
            '    """Element c1 + c2 i^ + c3 j^ + c4 k^ with complex ck."""'
            "\n\n    __slots__ = ()\n",

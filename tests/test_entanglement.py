@@ -81,6 +81,62 @@ def test_embed_state_requires_normalization():
         embed_state(StateAmp(1.0, 1.0, Variant.V12))
 
 
+# Amplitudes of every kind embed_state takes: ints (some too large for a
+# float), floats and complexes, with signed zeros, subnormals, NaN and inf.
+_AMP_REALS = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                     math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0)),
+    st.floats())
+_AMPLITUDES = st.one_of(
+    st.integers(-2, 2), st.integers(),
+    st.sampled_from((10 ** 400, -2 ** 1024)), _AMP_REALS,
+    st.builds(complex, _AMP_REALS, _AMP_REALS))
+
+
+@st.composite
+def _amplitude_pairs(draw):
+    """Any two amplitudes, or a unit pair (cos t e^iu, sin t e^iv) scaled
+    by s: inside, at and beyond the norm's tolerance, and as floats when
+    a phase is 0."""
+    if draw(st.booleans()):
+        return draw(_AMPLITUDES), draw(_AMPLITUDES)
+    t = draw(st.floats(0.0, 2.0 * math.pi))
+    s = draw(st.one_of(st.just(1.0), st.floats(1.0 - DEFAULT_TOL,
+                                               1.0 + DEFAULT_TOL)))
+    pair = []
+    for modulus in (math.cos(t), math.sin(t)):
+        u = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)))
+        pair.append(s * modulus if u == 0.0
+                    else s * modulus * complex(math.cos(u), math.sin(u)))
+    return tuple(pair)
+
+
+def _placed_and_checked(alpha, beta, variant):
+    """complex() of each amplitude placed on the variant's pair, then the
+    unit-norm check: what embed_state must equal."""
+    q = BiQuat(*entanglement.place_pair(variant.positions, complex(alpha),
+                                        complex(beta), 0j))
+    require_unit_norm(norm_h(q), "state amplitudes are not normalized")
+    return q
+
+
+def _bits_or_error(build, *args):
+    # The exact bits of every part, or the exception's type and message.
+    try:
+        q = build(*args)
+    except Exception as error:
+        return type(error), str(error)
+    return type(q), [(c.real.hex(), c.imag.hex()) for c in q]
+
+
+@settings(max_examples=600)
+@given(_amplitude_pairs(), st.sampled_from(Variant))
+def test_embed_state_equals_placing_then_checking_the_norm(pair, variant):
+    alpha, beta = pair
+    want = _bits_or_error(_placed_and_checked, alpha, beta, variant)
+    assert _bits_or_error(embed_state, StateAmp(alpha, beta, variant)) == want
+
+
 def test_support():
     assert support(BiQuat(1, 0, 0, 0)) == frozenset({1})
     assert support(BiQuat(0.5, 0, 1e-12, 0.5j)) == frozenset({1, 4})
